@@ -5,13 +5,24 @@ All transmissions of a slot start simultaneously (the protocol is slot
 synchronous), so the only questions the channel answers are which packets a
 listener can decode and whether the strongest rises far enough above the sum
 of the rest.
+
+Stations do not move during a run, so the link geometry is static: a
+LinkTable holds every receiver-sender power and in-range flag, built once per
+run and consulted by every slot. Its entries are filled by received_power and
+math.dist themselves, one call per unordered pair, so they are bit-identical
+to the scalar model. numpy's log10 and hypot are not: they differ in the last
+bit on a few percent of pairs, which can flip a capture decision whose margin
+is exactly 0 dB.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
+
+import numpy as np
 
 from .grid import Position, ZoneIndex
 
@@ -82,58 +93,129 @@ def received_power(tx_pos: Position, rx_pos: Position, cfg: ChannelConfig) -> fl
     return cfg.reference_power - 10.0 * cfg.path_loss_exponent * math.log10(d)
 
 
+@dataclass(frozen=True, eq=False)
+class LinkTable:
+    """Static link geometry between fixed stations.
+
+    ``power[rows[r], cols[s]]`` is received_power from sender s at receiver r,
+    and ``in_range[rows[r], cols[s]]`` whether they are at most comm_range
+    apart. A station's entry for itself is -inf and out of range.
+    """
+
+    rows: dict[int, int]
+    cols: dict[int, int]
+    power: np.ndarray
+    in_range: np.ndarray
+
+
+def link_table(
+    receivers: list[tuple[int, Position]],
+    senders: list[tuple[int, Position]],
+    cfg: ChannelConfig,
+) -> LinkTable:
+    """Tabulate every receiver-sender link with the scalar model.
+
+    When both lists are the same stations, math.dist's symmetry lets each
+    unordered pair be computed once and mirrored. Raises
+    DegenerateGeometryError for two distinct stations at one position.
+    """
+    symmetric = receivers == senders
+    power = np.full((len(receivers), len(senders)), -np.inf)
+    in_range = np.zeros(power.shape, dtype=bool)
+    for i, (rid, rpos) in enumerate(receivers):
+        first = i + 1 if symmetric else 0
+        others = senders[first:]
+        power[i, first:] = [
+            -math.inf if sid == rid else received_power(spos, rpos, cfg) for sid, spos in others
+        ]
+        in_range[i, first:] = [
+            sid != rid and math.dist(spos, rpos) <= cfg.comm_range for sid, spos in others
+        ]
+    if symmetric:  # fill the lower triangle from the upper one
+        power = np.fmax(power, power.T)
+        in_range = in_range | in_range.T
+    return LinkTable(
+        {rid: i for i, (rid, _) in enumerate(receivers)},
+        {sid: j for j, (sid, _) in enumerate(senders)},
+        power,
+        in_range,
+    )
+
+
+_SILENT = Outcome(SILENCE)
+_COLLIDED = Outcome(COLLISION)
+
+
 def resolve_slot(
     txs: list[Transmission],
     receivers: list[tuple[int, Position]],
     cfg: ChannelConfig,
+    table: Optional[LinkTable] = None,
 ) -> dict[int, Outcome]:
     """Decide what every receiver hears in one slot.
 
     Byte-identical packets form one constructively interfering group whose
-    power at a receiver is its strongest member's power. Groups whose nearest
-    member is out of comm_range are inaudible. A single audible group is
-    delivered; among several, the strongest is delivered only if it exceeds
-    the linear-scale sum of the others by capture_threshold dB, else the slot
-    is a collision. Senders are half-duplex and always hear silence.
+    power at a receiver is its strongest member's power (ties go to the
+    lowest sender id). Groups with no member within comm_range are
+    inaudible. A single audible group is delivered; among several, the
+    strongest is delivered only if it exceeds the linear-scale sum of the
+    others by capture_threshold dB, else the slot is a collision. Senders are
+    half-duplex and always hear silence.
+
+    ``table`` must cover every receiver and sender; engines pass one built
+    per run. Without it the slot tabulates its own links.
     """
     senders = {t.sender for t in txs}
     if len(senders) != len(txs):
         raise InvalidSlotError("duplicate sender id in slot")
+    outcomes = {rid: _SILENT for rid, _ in receivers}
+    listeners = [(rid, rpos) for rid, rpos in receivers if rid not in senders]
+    if not txs or not listeners:
+        return outcomes
+    if table is None:
+        table = link_table(listeners, [(t.sender, t.sender_pos) for t in txs], cfg)
 
     groups: dict[tuple[ZoneIndex, bytes], list[Transmission]] = {}
-    for t in txs:
+    for t in sorted(txs, key=lambda t: t.sender):
         groups.setdefault((t.packet.zone, t.packet.payload), []).append(t)
-
-    outcomes: dict[int, Outcome] = {}
-    for rid, rpos in receivers:
-        if rid in senders:
-            outcomes[rid] = Outcome(SILENCE)
+    # Columns run group by group, each group's members by ascending id, so
+    # the first column reaching a group's best power is its lowest-id member.
+    # Rows are every station of the table; listeners pick theirs by id.
+    members = [t for g in groups.values() for t in g]
+    sizes = [len(g) for g in groups.values()]
+    starts = list(accumulate(sizes[:-1], initial=0))
+    cols = [table.cols[t.sender] for t in members]
+    power = table.power[:, cols]
+    reach = table.in_range[:, cols]
+    if len(groups) == len(members):
+        # One sender per group: every group reduction is the identity.
+        best, audible, winner = power, reach, None
+    else:
+        best = np.maximum.reduceat(power, starts, axis=1)
+        audible = np.logical_or.reduceat(reach, starts, axis=1)
+        is_best = power == best.repeat(sizes, axis=1)
+        winner = np.minimum.reduceat(
+            np.where(is_best, np.arange(len(members)), len(members)), starts, axis=1
+        )
+    # Per station (table row), the (power, member) of every group it hears.
+    hits = np.nonzero(audible)
+    winners = hits[1] if winner is None else winner[hits]
+    heard: dict[int, list[tuple[float, int]]] = {}
+    for k, p, w in zip(hits[0].tolist(), best[hits].tolist(), winners.tolist()):
+        heard.setdefault(k, []).append((p, w))
+    for rid, _ in listeners:
+        groups_heard = heard.get(table.rows[rid])
+        if groups_heard is None:
             continue
-        audible: list[tuple[float, int, Packet]] = []
-        for members in groups.values():
-            best_power = -math.inf
-            best = None
-            nearest = math.inf
-            for t in members:
-                d = math.dist(t.sender_pos, rpos)
-                nearest = min(nearest, d)
-                p = received_power(t.sender_pos, rpos, cfg)
-                if p > best_power or (p == best_power and t.sender < best.sender):
-                    best_power, best = p, t
-            if nearest > cfg.comm_range:
-                continue
-            audible.append((best_power, best.sender, best.packet))
-        if not audible:
-            outcomes[rid] = Outcome(SILENCE)
-        elif len(audible) == 1:
-            outcomes[rid] = Outcome(DELIVERED, audible[0][2])
+        if len(groups_heard) == 1:
+            outcomes[rid] = Outcome(DELIVERED, members[groups_heard[0][1]].packet)
+            continue
+        groups_heard.sort(key=lambda item: (-item[0], members[item[1]].sender))
+        strongest, w = groups_heard[0]
+        others_linear = sum(10.0 ** (p / 10.0) for p, _ in groups_heard[1:])
+        margin = strongest - 10.0 * math.log10(others_linear)
+        if margin >= cfg.capture_threshold:
+            outcomes[rid] = Outcome(DELIVERED, members[w].packet)
         else:
-            audible.sort(key=lambda item: (-item[0], item[1]))
-            strongest = audible[0]
-            others_linear = sum(10.0 ** (p / 10.0) for p, _, _ in audible[1:])
-            margin = strongest[0] - 10.0 * math.log10(others_linear)
-            if margin >= cfg.capture_threshold:
-                outcomes[rid] = Outcome(DELIVERED, strongest[2])
-            else:
-                outcomes[rid] = Outcome(COLLISION)
+            outcomes[rid] = _COLLIDED
     return outcomes

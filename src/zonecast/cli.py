@@ -16,12 +16,11 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .engine import ConfigError, RunMetrics, ScenarioConfig, run, sweep, sweep_csv
+from .engine import ConfigError, RunMetrics, ScenarioConfig, build_world, run, sweep, sweep_csv
 from .presets import PRESETS
 from .protocol import init_vehicle
 from .scenario import load_scenario
 from .sensing import format_matrix
-from .engine import build_world
 
 
 def _write_metrics(out_dir: Path, cfg: ScenarioConfig, metrics: RunMetrics) -> None:

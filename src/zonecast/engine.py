@@ -18,7 +18,15 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import COLLISION, DELIVERED, ChannelConfig, Outcome, Transmission, resolve_slot
+from .channel import (
+    COLLISION,
+    DELIVERED,
+    ChannelConfig,
+    Outcome,
+    Transmission,
+    link_table,
+    resolve_slot,
+)
 from .grid import GridConfig, Position, ZoneIndex, locate_zone, zone_origin
 from .protocol import (
     VehicleState,
@@ -181,6 +189,11 @@ def build_world(
     ids = [vid for vid, _ in vehicles]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate vehicle ids")
+    seen: dict[tuple[float, ...], int] = {}
+    for vid, pos in vehicles:
+        other = seen.setdefault(tuple(pos), vid)
+        if other != vid:
+            raise ConfigError(f"vehicles {other} and {vid} share position {tuple(pos)}")
     zones = {locate_zone(pos, cfg.grid) for _, pos in vehicles}
     if len(zones) != 1:
         raise ConfigError(f"all vehicles must share one zone; got {sorted(zones)}")
@@ -260,6 +273,7 @@ def run(cfg: ScenarioConfig) -> RunMetrics:
     states = _init_states(cfg)
     max_slots = _default_max_slots(cfg, len(states))
     receivers = [(s.id, s.position) for s in states]
+    table = link_table(receivers, receivers, cfg.channel)
     trace: list[str] = []
     last_tx = 0
     converged = is_globally_converged(states, last_slot_had_tx=False)
@@ -271,7 +285,7 @@ def run(cfg: ScenarioConfig) -> RunMetrics:
                 t = on_slot_begin(s)
                 if t is not None:
                     txs.append(t)
-            outcomes = resolve_slot(txs, receivers, cfg.channel)
+            outcomes = resolve_slot(txs, receivers, cfg.channel, table)
             for s in states:
                 o = outcomes[s.id]
                 if o.kind == DELIVERED:
@@ -304,12 +318,10 @@ def run_baseline(cfg: ScenarioConfig) -> RunMetrics:
     rng = np.random.default_rng([cfg.seed, 0x5DEECE66])
     cw = {s.id: cfg.csma.cw_min for s in states}
     micro_ms = cfg.csma.micro_slot_us / 1000.0
-    in_range = {
-        (a.id, b.id): math.dist(a.position, b.position) <= cfg.channel.comm_range
-        for a in states
-        for b in states
-        if a.id != b.id
-    }
+    stations = [(s.id, s.position) for s in states]
+    table = link_table(stations, stations, cfg.channel)  # row/column k: states[k]
+    row = table.rows
+    near = table.in_range.tolist()  # the same mask, for fast scalar lookups
     trace: list[str] = []
     elapsed = 0.0
     last_tx = 0
@@ -330,33 +342,32 @@ def run_baseline(cfg: ScenarioConfig) -> RunMetrics:
             transmitters: list[VehicleState] = []
             for s in order:
                 blocked = any(
-                    draws[t.id] < draws[s.id] and in_range[(s.id, t.id)]
+                    draws[t.id] < draws[s.id] and near[row[s.id]][row[t.id]]
                     for t in transmitters
                 )
                 if not blocked:
                     transmitters.append(s)
             txs = [on_slot_begin(s) for s in transmitters]
             tx_ids = {s.id for s in transmitters}
-            collided = {
-                s.id
-                for s in transmitters
-                if any(t.id != s.id and in_range[(s.id, t.id)] for t in transmitters)
-            }
+            # Per station, the transmitters in range (a station is never in
+            # its own range) and the first of them.
+            hears = table.in_range[:, [row[s.id] for s in transmitters]]
+            heard = hears.sum(axis=1).tolist()
+            first = hears.argmax(axis=1).tolist()
             for s in transmitters:
-                if s.id in collided:
+                if heard[row[s.id]]:  # another transmitter in range: a collision
                     cw[s.id] = min(cw[s.id] * 2, cfg.csma.cw_max)
                     s.pending_tx = True  # retry after the collision
                 else:
                     cw[s.id] = cfg.csma.cw_min
             delivered_to = []
-            for s in states:
+            for s, n, k in zip(states, heard, first):
                 if s.id in tx_ids:
                     continue
-                audible = [t for t in txs if in_range[(s.id, t.sender)]]
-                if len(audible) == 1:
-                    on_delivery(s, audible[0].packet)
-                    delivered_to.append(f"{s.id}:D{audible[0].sender}")
-                elif len(audible) > 1:
+                if n == 1:
+                    on_delivery(s, txs[k].packet)
+                    delivered_to.append(f"{s.id}:D{txs[k].sender}")
+                elif n > 1:
                     delivered_to.append(f"{s.id}:C")
             last_tx = rnd
             elapsed += cfg.slot_duration_ms + min(draws[s.id] for s in transmitters) * micro_ms
@@ -382,6 +393,12 @@ def sweep(
         raise ConfigError("counts must be non-empty positive integers")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    # Sub-seeds pack count and trial into seed*1_000_000 + count*1_000 + trial,
+    # which stays collision-free only while both fit in three digits.
+    if trials > 1000:
+        raise ConfigError("trials must be <= 1000")
+    if any(c > 999 for c in counts):
+        raise ConfigError("counts must be <= 999")
     rows = []
     for count in counts:
         for trial in range(trials):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
@@ -220,6 +221,22 @@ def _occluded_mask(
     return occluded
 
 
+@lru_cache(maxsize=1)
+def _occupancy(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> np.ndarray:
+    """Read-only flat mask of the zone's blocks that hold an object or vehicle
+    center. It does not depend on the viewer, so every vehicle of a world
+    shares one; the engine perceives one world at a time, so one entry is
+    enough."""
+    n = cfg.blocks_per_side
+    occupied = np.zeros(n * n, dtype=bool)
+    for pos in [p for p, _ in world.objects] + [p for _, p, _ in world.vehicles]:
+        if locate_zone(pos, cfg) == zone:
+            col, row = locate_block(pos, zone, cfg)
+            occupied[row * n + col] = True
+    occupied.flags.writeable = False
+    return occupied
+
+
 def perceive(
     self_id: int,
     self_pos: Position,
@@ -246,12 +263,7 @@ def perceive(
     occluders += [(pos, r) for vid, pos, r in world.vehicles if vid != self_id]
 
     cells = np.full(n * n, int(BlockState.NO_OBJECT), dtype=np.uint8)
-    occupied = np.zeros(n * n, dtype=bool)
-    for pos in [p for p, _ in world.objects] + [p for _, p, _ in world.vehicles]:
-        if locate_zone(pos, cfg) == zone:
-            col, row = locate_block(pos, zone, cfg)
-            occupied[row * n + col] = True
-    cells[occupied] = BlockState.OBJECT
+    cells[_occupancy(world, zone, cfg)] = BlockState.OBJECT
     cells[_occluded_mask(viewer, centers, occluders)] = BlockState.UNCERTAIN
     cells[dist > sensing_range] = BlockState.OUT_OF_SENSING
     return SensingMatrix(zone, cells.reshape(n, n))

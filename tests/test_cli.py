@@ -57,6 +57,17 @@ def test_run_missing_scenario_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_colocated_vehicles_is_a_config_error(tmp_path, capsys):
+    cfg = ScenarioConfig(vehicles=((1, (50.0, 50.0)), (2, (60.0, 50.0)), (3, (50.0, 50.0))))
+    path = tmp_path / "colocated.scenario"
+    save_scenario(cfg, path)
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: vehicles 1 and 3 share position" in err
+    assert "Traceback" not in err
+
+
 def test_run_stalled_scenario_exits_two(tmp_path, capsys):
     cfg = ScenarioConfig(
         channel=ChannelConfig(comm_range=20.0, capture_threshold=0.0, path_loss_exponent=2.0),

@@ -214,6 +214,23 @@ def test_world_rejects_duplicate_ids():
         build_world(ScenarioConfig(vehicles=((1, (5.0, 5.0)), (1, (9.0, 5.0)))))
 
 
+def test_world_rejects_colocated_vehicles():
+    with pytest.raises(ConfigError, match="vehicles 1 and 3 share position"):
+        build_world(
+            ScenarioConfig(vehicles=((1, (5.0, 5.0)), (2, (9.0, 5.0)), (3, (5.0, 5.0))))
+        )
+    # A one-ulp-wide area holds four distinct points, so five placed vehicles
+    # without a minimum separation must share one.
+    tiny = math.nextafter(1.0, 2.0)
+    placement = Placement(
+        count=5, area=(1.0, 1.0, tiny, tiny), min_separation=0.0, connected=False
+    )
+    with pytest.raises(ConfigError, match="share position"):
+        build_world(ScenarioConfig(placement=placement))
+    with pytest.raises(ConfigError, match="share position"):
+        run(ScenarioConfig(placement=placement, mac_mode="csma"))
+
+
 def test_world_rejects_vehicles_spanning_zones():
     with pytest.raises(ConfigError, match="zone"):
         build_world(ScenarioConfig(vehicles=((1, (50.0, 50.0)), (2, (150.0, 50.0)))))
@@ -352,6 +369,15 @@ def test_sweep_validates_arguments():
         sweep(_sweep_base(), counts=[0], trials=1, seed=0)
     with pytest.raises(ConfigError):
         sweep(_sweep_base(), counts=[3], trials=0, seed=0)
+
+
+def test_sweep_rejects_ranges_whose_subseeds_collide():
+    # seed*1_000_000 + count*1_000 + trial repeats once a trial index or a
+    # count reaches 1000: counts [1, 2] x 1001 trials give 2001 distinct seeds.
+    with pytest.raises(ConfigError, match="trials"):
+        sweep(_sweep_base(), counts=[1, 2], trials=1001, seed=0)
+    with pytest.raises(ConfigError, match="counts"):
+        sweep(_sweep_base(), counts=[3, 1000], trials=1, seed=0)
 
 
 def test_sweep_csv_layout():

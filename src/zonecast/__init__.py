@@ -40,7 +40,6 @@ from .grid import (
     block_centers,
     locate_block,
     locate_zone,
-    resident_zone,
     zone_origin,
 )
 from .presets import PRESETS, SweepPreset

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -62,6 +62,26 @@ class CsmaConfig:
     cw_max: int = 1023
     micro_slot_us: float = 13.0
 
+    def __post_init__(self) -> None:
+        if self.cw_min < 1:
+            raise ConfigError("cw_min must be >= 1")
+        if not self.cw_min <= self.cw_max <= 2**63:  # backoffs are drawn as int64
+            raise ConfigError(f"cw_max must be in [cw_min, 2**63], got {self.cw_max}")
+        if self.micro_slot_us < 0:
+            raise ConfigError("micro_slot_us must be non-negative")
+
+
+# ScenarioConfig's vehicle and object records. Each compares and hashes equal
+# to the plain tuple of its fields, so ((1, (x, y)), ...) works as well.
+class Vehicle(NamedTuple):
+    id: int
+    pos: Position
+
+
+class Obstacle(NamedTuple):
+    pos: Position
+    radius: float = 1.0
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -69,10 +89,10 @@ class ScenarioConfig:
     channel: ChannelConfig = ChannelConfig()
     sensing_range: float = 25.0
     slot_duration_ms: float = 2.0
-    vehicles: Optional[tuple[tuple[int, Position], ...]] = None
+    vehicles: Optional[tuple[Vehicle, ...]] = None
     placement: Optional[Placement] = None
     vehicle_radius: float = 1.0
-    objects: tuple[tuple[Position, float], ...] = ()
+    objects: tuple[Obstacle, ...] = ()
     initiators: Optional[tuple[int, ...]] = None
     max_slots: Optional[int] = None
     mac_mode: str = "l3"
@@ -90,6 +110,10 @@ class ScenarioConfig:
             raise ConfigError("max_slots must be positive")
         if self.mac_mode not in ("l3", "csma"):
             raise ConfigError(f"mac_mode must be 'l3' or 'csma', got {self.mac_mode!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if any(radius <= 0 for _, radius in self.objects):
+            raise ConfigError("object radii must be positive")
 
 
 @dataclass
@@ -143,8 +167,9 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
         if p.min_separation > 0:
             # Disc-packing bound: points pairwise >= s apart carry disjoint
             # discs of radius s/2 inside the area grown by s on each side.
+            # Dividing by s twice, not by s*s, which underflows to 0.
             s = p.min_separation
-            capacity = (x1 - x0 + s) * (y1 - y0 + s) / (math.pi * s * s / 4)
+            capacity = (x1 - x0 + s) / s * (y1 - y0 + s) / s * 4 / math.pi
             if p.count > capacity:
                 raise ConfigError(
                     f"cannot fit {p.count} vehicles {s} m apart in "

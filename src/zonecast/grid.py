@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class GridConfig:
         if self.zone_side <= 0 or self.block_side <= 0:
             raise ValueError("zone_side and block_side must be positive")
         ratio = self.zone_side / self.block_side
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+        if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(
                 f"zone_side ({self.zone_side}) must be an integer multiple of "
                 f"block_side ({self.block_side})"
@@ -80,18 +80,6 @@ def locate_block(p: Position, z: ZoneIndex, g: GridConfig) -> BlockIndex:
     col = min(int((p[0] - x0) // g.block_side), n - 1)
     row = min(int((p[1] - y0) // g.block_side), n - 1)
     return BlockIndex(col, row)
-
-
-def resident_zone(prev: Optional[ZoneIndex], p: Position, g: GridConfig) -> ZoneIndex:
-    """Zone a vehicle is considered to occupy.
-
-    Vehicles are modeled as their center point, so this is locate_zone(p).
-    ``prev`` is accepted so a footprint model (where a body straddling a
-    boundary stays in the zone it last touched) could slot in without an API
-    change.
-    """
-    del prev
-    return locate_zone(p, g)
 
 
 def zone_origin(z: ZoneIndex, g: GridConfig) -> Position:

@@ -1,160 +1,126 @@
-"""Scenario files: YAML documents mirroring ScenarioConfig field for field.
+"""Scenario files: YAML documents whose schema is the config types.
 
-Unknown keys are rejected with the offending key path; missing keys fall back
-to the defaults baked into the config dataclasses. A file written by
-save_scenario() re-parses to an identical ScenarioConfig.
+One reader and one writer walk the annotations of ScenarioConfig and the
+types it holds:
+
+- a dataclass or NamedTuple is a mapping of its fields. Unknown keys are
+  rejected by key path, a field without a default is required, and an
+  omitted one takes the type's default (an object's radius is 1.0);
+- ``Optional[X]`` accepts null, and unset optionals are not written;
+- ``tuple[X, ...]`` is a list; a fixed ``tuple[X, Y]`` a list of that length;
+- bool, int, float and str are strict (a bool is not an int, an int is
+  accepted as a float), and numbers must be finite;
+- a ValueError from a config's own checks (csma cw_min >= 1, cw_max >=
+  cw_min, micro_slot_us >= 0; seed >= 0; object radii > 0; ...) becomes a
+  ConfigError prefixed with its key path.
+
+Keys are written in field order; a saved file re-parses to an equal config.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+from dataclasses import MISSING
 from importlib import resources
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .channel import ChannelConfig
-from .engine import ConfigError, CsmaConfig, Placement, ScenarioConfig
-from .grid import GridConfig
-
-_GRID_KEYS = ("zone_side", "block_side", "origin")
-_CHANNEL_KEYS = ("comm_range", "capture_threshold", "path_loss_exponent", "reference_power")
-_CSMA_KEYS = ("cw_min", "cw_max", "micro_slot_us")
-_PLACEMENT_KEYS = ("count", "area", "min_separation", "connected")
-_TOP_KEYS = (
-    "grid",
-    "channel",
-    "sensing_range",
-    "slot_duration_ms",
-    "vehicles",
-    "placement",
-    "vehicle_radius",
-    "objects",
-    "initiators",
-    "max_slots",
-    "mac_mode",
-    "seed",
-    "csma",
-)
+from .engine import ConfigError, ScenarioConfig
 
 
-def _mapping(obj: Any, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
-    unknown = [k for k in obj if not isinstance(k, str)]
-    if unknown:
-        raise ConfigError(f"{path}: non-string key {unknown[0]!r}")
-    return obj
+def _optional(tp: Any) -> tuple[Any, bool]:
+    """(X, True) for Optional[X]; (tp, False) for any other type."""
+    if get_origin(tp) is Union:
+        (inner,) = [a for a in get_args(tp) if a is not type(None)]
+        return inner, True
+    return tp, False
 
 
-def _check_keys(d: dict, allowed: tuple[str, ...], path: str) -> None:
-    for key in d:
-        if key not in allowed:
+def _is_record(tp: Any) -> bool:
+    return dataclasses.is_dataclass(tp) or hasattr(tp, "_fields")
+
+
+def _fields(tp: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, type, required) per field of a dataclass or NamedTuple."""
+    hints = get_type_hints(tp)
+    if dataclasses.is_dataclass(tp):
+        return tuple(
+            (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in dataclasses.fields(tp)
+        )
+    return tuple((n, hints[n], n not in tp._field_defaults) for n in tp._fields)
+
+
+def _read_record(tp: type, value: Any, path: str, prefix: str) -> Any:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
+    fields = {name: ftype for name, ftype, _ in _fields(tp)}
+    for key in value:
+        if key not in fields:
             raise ConfigError(f"unknown key {key!r} in {path}")
+    for name, _, required in _fields(tp):
+        if required and name not in value:
+            raise ConfigError(f"{path}: needs {name!r}")
+    kwargs = {k: _read(fields[k], v, prefix + k) for k, v in value.items()}
+    try:
+        return tp(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+def _read(tp: Any, value: Any, path: str) -> Any:
+    tp, optional = _optional(tp)
+    if value is None and optional:
+        return None
+    if _is_record(tp):
+        return _read_record(tp, value, path, path + ".")
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path}: expected a list of {len(args)}, got {value!r}")
+        return tuple(_read(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    return _scalar(tp, value, path)
 
 
-def _integer(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+_KINDS = {bool: "true/false", str: "a string", int: "an integer", float: "a number"}
+
+
+def _scalar(tp: type, value: Any, path: str) -> Any:
+    accepted = (int, float) if tp is float else (tp,)
+    if type(value) not in accepted:  # exact types: a bool is not an int
+        raise ConfigError(f"{path}: expected {_KINDS[tp]}, got {value!r}")
+    if tp is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
+
+
+def _write(tp: Any, value: Any) -> Any:
+    tp, _ = _optional(tp)
+    if _is_record(tp):
+        fields = _fields(tp)
+        if dataclasses.is_dataclass(value):
+            value = [getattr(value, name) for name, _, _ in fields]
+        # a NamedTuple or a plain tuple matches the fields by position
+        return {n: _write(t, v) for (n, t, _), v in zip(fields, value) if v is not None}
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return [_write(a, v) for a, v in zip(args, value)]
     return value
-
-
-def _point(value: Any, path: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}: expected [x, y]")
-    return (_number(value[0], path + "[0]"), _number(value[1], path + "[1]"))
-
-
-def _parse_grid(raw: Any) -> GridConfig:
-    d = _mapping(raw, "grid")
-    _check_keys(d, _GRID_KEYS, "grid")
-    kwargs: dict[str, Any] = {}
-    if "zone_side" in d:
-        kwargs["zone_side"] = _number(d["zone_side"], "grid.zone_side")
-    if "block_side" in d:
-        kwargs["block_side"] = _number(d["block_side"], "grid.block_side")
-    if "origin" in d:
-        kwargs["origin"] = _point(d["origin"], "grid.origin")
-    try:
-        return GridConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-
-def _parse_channel(raw: Any) -> ChannelConfig:
-    d = _mapping(raw, "channel")
-    _check_keys(d, _CHANNEL_KEYS, "channel")
-    kwargs = {k: _number(d[k], f"channel.{k}") for k in _CHANNEL_KEYS if k in d}
-    try:
-        return ChannelConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from exc
-
-
-def _parse_csma(raw: Any) -> CsmaConfig:
-    d = _mapping(raw, "csma")
-    _check_keys(d, _CSMA_KEYS, "csma")
-    kwargs: dict[str, Any] = {}
-    if "cw_min" in d:
-        kwargs["cw_min"] = _integer(d["cw_min"], "csma.cw_min")
-    if "cw_max" in d:
-        kwargs["cw_max"] = _integer(d["cw_max"], "csma.cw_max")
-    if "micro_slot_us" in d:
-        kwargs["micro_slot_us"] = _number(d["micro_slot_us"], "csma.micro_slot_us")
-    return CsmaConfig(**kwargs)
-
-
-def _parse_vehicles(raw: Any) -> tuple:
-    if not isinstance(raw, list):
-        raise ConfigError("vehicles: expected a list")
-    out = []
-    for i, item in enumerate(raw):
-        d = _mapping(item, f"vehicles[{i}]")
-        _check_keys(d, ("id", "pos"), f"vehicles[{i}]")
-        if "id" not in d or "pos" not in d:
-            raise ConfigError(f"vehicles[{i}]: needs 'id' and 'pos'")
-        out.append((_integer(d["id"], f"vehicles[{i}].id"), _point(d["pos"], f"vehicles[{i}].pos")))
-    return tuple(out)
-
-
-def _parse_placement(raw: Any) -> Placement:
-    d = _mapping(raw, "placement")
-    _check_keys(d, _PLACEMENT_KEYS, "placement")
-    if "count" not in d:
-        raise ConfigError("placement: needs 'count'")
-    kwargs: dict[str, Any] = {"count": _integer(d["count"], "placement.count")}
-    if "area" in d and d["area"] is not None:
-        area = d["area"]
-        if not isinstance(area, (list, tuple)) or len(area) != 4:
-            raise ConfigError("placement.area: expected [x0, y0, x1, y1]")
-        kwargs["area"] = tuple(_number(v, f"placement.area[{i}]") for i, v in enumerate(area))
-    if "min_separation" in d:
-        kwargs["min_separation"] = _number(d["min_separation"], "placement.min_separation")
-    if "connected" in d:
-        if not isinstance(d["connected"], bool):
-            raise ConfigError("placement.connected: expected true/false")
-        kwargs["connected"] = d["connected"]
-    return Placement(**kwargs)
-
-
-def _parse_objects(raw: Any) -> tuple:
-    if not isinstance(raw, list):
-        raise ConfigError("objects: expected a list")
-    out = []
-    for i, item in enumerate(raw):
-        d = _mapping(item, f"objects[{i}]")
-        _check_keys(d, ("pos", "radius"), f"objects[{i}]")
-        if "pos" not in d:
-            raise ConfigError(f"objects[{i}]: needs 'pos'")
-        radius = _number(d.get("radius", 1.0), f"objects[{i}].radius")
-        out.append((_point(d["pos"], f"objects[{i}].pos"), radius))
-    return tuple(out)
 
 
 def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioConfig:
@@ -164,48 +130,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError(f"{name}: parse error{where}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    d = _mapping(raw, name)
-    _check_keys(d, _TOP_KEYS, name)
-
-    kwargs: dict[str, Any] = {}
-    if "grid" in d:
-        kwargs["grid"] = _parse_grid(d["grid"])
-    if "channel" in d:
-        kwargs["channel"] = _parse_channel(d["channel"])
-    if "csma" in d:
-        kwargs["csma"] = _parse_csma(d["csma"])
-    if "sensing_range" in d:
-        kwargs["sensing_range"] = _number(d["sensing_range"], "sensing_range")
-    if "slot_duration_ms" in d:
-        kwargs["slot_duration_ms"] = _number(d["slot_duration_ms"], "slot_duration_ms")
-    if "vehicle_radius" in d:
-        kwargs["vehicle_radius"] = _number(d["vehicle_radius"], "vehicle_radius")
-    if d.get("vehicles") is not None:
-        kwargs["vehicles"] = _parse_vehicles(d["vehicles"])
-    if d.get("placement") is not None:
-        kwargs["placement"] = _parse_placement(d["placement"])
-    if "objects" in d:
-        kwargs["objects"] = _parse_objects(d["objects"])
-    if d.get("initiators") is not None:
-        if not isinstance(d["initiators"], list):
-            raise ConfigError("initiators: expected a list of vehicle ids")
-        kwargs["initiators"] = tuple(
-            _integer(v, f"initiators[{i}]") for i, v in enumerate(d["initiators"])
-        )
-    if d.get("max_slots") is not None:
-        kwargs["max_slots"] = _integer(d["max_slots"], "max_slots")
-    if "mac_mode" in d:
-        if d["mac_mode"] not in ("l3", "csma"):
-            raise ConfigError(f"mac_mode: expected 'l3' or 'csma', got {d['mac_mode']!r}")
-        kwargs["mac_mode"] = d["mac_mode"]
-    if "seed" in d:
-        kwargs["seed"] = _integer(d["seed"], "seed")
-    try:
-        return ScenarioConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    return _read_record(ScenarioConfig, {} if raw is None else raw, name, "")
 
 
 def load_scenario(path: Union[str, Path]) -> ScenarioConfig:
@@ -218,44 +143,7 @@ def load_scenario(path: Union[str, Path]) -> ScenarioConfig:
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    d: dict[str, Any] = {
-        "grid": {
-            "zone_side": cfg.grid.zone_side,
-            "block_side": cfg.grid.block_side,
-            "origin": list(cfg.grid.origin),
-        },
-        "channel": {
-            "comm_range": cfg.channel.comm_range,
-            "capture_threshold": cfg.channel.capture_threshold,
-            "path_loss_exponent": cfg.channel.path_loss_exponent,
-            "reference_power": cfg.channel.reference_power,
-        },
-        "sensing_range": cfg.sensing_range,
-        "slot_duration_ms": cfg.slot_duration_ms,
-        "vehicle_radius": cfg.vehicle_radius,
-        "objects": [{"pos": list(p), "radius": r} for p, r in cfg.objects],
-        "mac_mode": cfg.mac_mode,
-        "seed": cfg.seed,
-        "csma": {
-            "cw_min": cfg.csma.cw_min,
-            "cw_max": cfg.csma.cw_max,
-            "micro_slot_us": cfg.csma.micro_slot_us,
-        },
-    }
-    if cfg.vehicles is not None:
-        d["vehicles"] = [{"id": vid, "pos": list(p)} for vid, p in cfg.vehicles]
-    if cfg.placement is not None:
-        p: dict[str, Any] = {"count": cfg.placement.count}
-        if cfg.placement.area is not None:
-            p["area"] = list(cfg.placement.area)
-        p["min_separation"] = cfg.placement.min_separation
-        p["connected"] = cfg.placement.connected
-        d["placement"] = p
-    if cfg.initiators is not None:
-        d["initiators"] = list(cfg.initiators)
-    if cfg.max_slots is not None:
-        d["max_slots"] = cfg.max_slots
-    return d
+    return _write(ScenarioConfig, cfg)
 
 
 def save_scenario(cfg: ScenarioConfig, path: Union[str, Path]) -> None:

@@ -68,6 +68,16 @@ def test_run_colocated_vehicles_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_bad_csma_window_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cw0.scenario"
+    path.write_text("vehicles: [{id: 1, pos: [10, 10]}]\nmac_mode: csma\ncsma: {cw_min: 0}\n")
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "cw_min must be >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_run_stalled_scenario_exits_two(tmp_path, capsys):
     cfg = ScenarioConfig(
         channel=ChannelConfig(comm_range=20.0, capture_threshold=0.0, path_loss_exponent=2.0),
@@ -133,6 +143,15 @@ def test_sweep_preset_writes_per_mac_files(tmp_path):
 def test_sweep_requires_preset_or_counts(tmp_path, capsys):
     assert main(["sweep", "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_negative_seed_is_a_config_error(tmp_path, capsys):
+    argv = ["sweep", "--counts", "3", "--trials", "1", "--seed", "-1", "--out", str(tmp_path)]
+    code = main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: seed must be non-negative" in err
+    assert "Traceback" not in err
 
 
 def test_bad_counts_list_is_a_usage_error(tmp_path):

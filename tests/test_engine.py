@@ -10,6 +10,7 @@ import pytest
 from zonecast import (
     ChannelConfig,
     ConfigError,
+    CsmaConfig,
     GridConfig,
     Placement,
     RunMetrics,
@@ -256,6 +257,22 @@ def test_world_ground_truth_carries_radius_and_objects():
     assert world.objects == (((20.0, 20.0), 2.0),)
 
 
+def test_config_bounds_are_config_errors():
+    with pytest.raises(ConfigError, match="cw_min"):
+        CsmaConfig(cw_min=0)
+    with pytest.raises(ConfigError, match="cw_max"):
+        CsmaConfig(cw_min=8, cw_max=4)
+    with pytest.raises(ConfigError, match="cw_max"):
+        CsmaConfig(cw_max=2**63 + 1)
+    with pytest.raises(ConfigError, match="micro_slot_us"):
+        CsmaConfig(micro_slot_us=-1.0)
+    assert CsmaConfig(cw_min=1, cw_max=1, micro_slot_us=0.0).cw_max == 1
+    with pytest.raises(ConfigError, match="seed"):
+        ScenarioConfig(seed=-1)
+    with pytest.raises(ConfigError, match="radii"):
+        ScenarioConfig(objects=(((20.0, 20.0), 0.0),))
+
+
 # ---------------------------------------------------------------------------
 # Random placement
 
@@ -332,6 +349,12 @@ def test_placement_rejects_impossible_requests():
         _positions(ScenarioConfig(placement=Placement(count=2, area=(5.0, 5.0, 5.0, 9.0))))
 
 
+def test_tiny_min_separation_places_vehicles():
+    # s*s underflows to 0 here; the packing bound must not divide by it.
+    cfg = ScenarioConfig(placement=Placement(2, min_separation=5e-324, connected=False))
+    assert len(build_world(cfg)[1]) == 2
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 
@@ -369,6 +392,11 @@ def test_sweep_validates_arguments():
         sweep(_sweep_base(), counts=[0], trials=1, seed=0)
     with pytest.raises(ConfigError):
         sweep(_sweep_base(), counts=[3], trials=0, seed=0)
+
+
+def test_sweep_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        sweep(_sweep_base(), counts=[3], trials=1, seed=-1)
 
 
 def test_sweep_rejects_ranges_whose_subseeds_collide():

@@ -13,7 +13,6 @@ from zonecast import (
     block_centers,
     locate_block,
     locate_zone,
-    resident_zone,
     zone_origin,
 )
 
@@ -82,13 +81,6 @@ def test_locate_block_in_negative_zone():
     assert locate_block((-100.0, -100.0), z, g) == BlockIndex(0, 0)
     assert locate_block((-0.001, -0.001), z, g) == BlockIndex(19, 19)
     assert locate_block((-52.5, -97.5), z, g) == BlockIndex(9, 0)
-
-
-def test_resident_zone_matches_point_zone():
-    g = GridConfig()
-    assert resident_zone(None, (12.0, 34.0), g) == ZoneIndex(0, 0)
-    # a previous zone does not pin the vehicle once its position has moved on
-    assert resident_zone(ZoneIndex(0, 0), (112.0, 34.0), g) == ZoneIndex(1, 0)
 
 
 def test_zone_origin_roundtrip():

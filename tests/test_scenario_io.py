@@ -1,5 +1,7 @@
 """Tests for scenario parsing, saving, and the bundled scenario files."""
 
+import re
+
 import pytest
 
 from zonecast import (
@@ -15,6 +17,7 @@ from zonecast import (
     save_scenario,
     scenario_to_dict,
 )
+from zonecast.presets import PRESETS
 
 
 def test_empty_document_yields_defaults():
@@ -146,3 +149,70 @@ def test_bundled_scenarios_load():
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_scenario(tmp_path / "nope.scenario")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("csma: {cw_min: 0}", "csma: cw_min must be >= 1"),
+        ("csma: {cw_min: 8, cw_max: 4}", r"csma: cw_max must be in \[cw_min, 2\*\*63\]"),
+        ("csma: {cw_max: 100000000000000000000}", "csma: cw_max must be in"),
+        ("csma: {micro_slot_us: -1}", "csma: micro_slot_us must be non-negative"),
+        ("objects: [{pos: [5, 5], radius: 0}]", "object radii must be positive"),
+        ("seed: -1", "seed must be non-negative"),
+        ("vehicles: [{id: 1, pos: [.inf, 10]}]", r"vehicles\[0\]\.pos\[0\]: expected a finite"),
+        ("grid: {origin: [.nan, 0]}", r"grid\.origin\[0\]: expected a finite"),
+        ("placement: {count: 3, area: [0, 0, .inf, 10]}", r"placement\.area\[2\]: expected"),
+        ("sensing_range: 1" + "0" * 400, "sensing_range: expected a finite"),
+        ("grid: {zone_side: 1.0e+308, block_side: 1.0e-10}", "grid: zone_side"),
+    ],
+)
+def test_out_of_range_values_are_config_errors(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_scenario(text)
+
+
+def test_error_messages_carry_key_paths(tmp_path):
+    cases = {
+        "grid: {zone_side: wide}": "grid.zone_side: expected a number",
+        "vehicles: [{id: 1, pos: [0, x]}]": "vehicles[0].pos[1]: expected a number",
+        "vehicles: [{id: 1.5, pos: [0, 0]}]": "vehicles[0].id: expected an integer",
+        "vehicles: [{id: 1}]": "vehicles[0]: needs 'pos'",
+        "placement: {count: 3, connected: 1}": "placement.connected: expected true/false",
+        "placement: {min_separation: 2}": "placement: needs 'count'",
+        "objects: [{pos: [1, 2, 3]}]": "objects[0].pos: expected a list of 2",
+        "channel: {bogus: 2}": "unknown key 'bogus' in channel",
+        "mac_mode: 5": "mac_mode: expected a string",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ConfigError) as exc:
+            parse_scenario(text)
+        assert str(exc.value).startswith(message), text
+    path = tmp_path / "bad.scenario"
+    path.write_text("slot_duration_ms: 0\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: slot_duration_ms"):
+        load_scenario(path)
+
+
+def test_bundled_scenarios_and_preset_bases_round_trip(tmp_path):
+    names = ("fig5_line3", "grid9_corner", "grid9_middle")
+    configs = [load_scenario(bundled_scenario(n)) for n in names]
+    configs += [preset.base for preset in PRESETS.values()]
+    for i, cfg in enumerate(configs):
+        path = tmp_path / f"{i}.scenario"
+        save_scenario(cfg, path)
+        assert load_scenario(path) == cfg
+
+
+def test_writer_takes_plain_tuples_and_writes_field_order():
+    cfg = ScenarioConfig(
+        vehicles=((1, (1.0, 2.0)),), objects=(((3.0, 4.0), 2.0),), initiators=(1,)
+    )
+    d = scenario_to_dict(cfg)
+    assert d["vehicles"] == [{"id": 1, "pos": [1.0, 2.0]}]
+    assert d["objects"] == [{"pos": [3.0, 4.0], "radius": 2.0}]
+    assert list(d) == [
+        "grid", "channel", "sensing_range", "slot_duration_ms", "vehicles",
+        "vehicle_radius", "objects", "initiators", "mac_mode", "seed", "csma",
+    ]
+    assert parse_scenario("objects: [{pos: [3, 4]}]").objects[0].radius == 1.0

@@ -164,6 +164,11 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
                 "placement.min_separation exceeds comm_range; a connected "
                 "layout is impossible"
             )
+        if p.min_separation > math.hypot(x1 - x0, y1 - y0):
+            raise ConfigError(
+                f"placement.min_separation {p.min_separation} m exceeds the "
+                f"diagonal of {(x0, y0, x1, y1)}; no two vehicles fit"
+            )
         if p.min_separation > 0:
             # Disc-packing bound: points pairwise >= s apart carry disjoint
             # discs of radius s/2 inside the area grown by s on each side.
@@ -211,6 +216,8 @@ def build_world(
     if (cfg.vehicles is None) == (cfg.placement is None):
         raise ConfigError("scenario needs exactly one of 'vehicles' or 'placement'")
     vehicles = cfg.vehicles if cfg.vehicles is not None else _place_vehicles(cfg)
+    if not vehicles:
+        raise ConfigError("scenario needs at least one vehicle")
     ids = [vid for vid, _ in vehicles]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate vehicle ids")

@@ -6,6 +6,15 @@ block, ``b1 b0``: bit b1 says whether the block was sensed, b0 carries the
 content. The four values are NO_OBJECT (10), OBJECT (11), OUT_OF_SENSING (00)
 and UNCERTAIN (01, view blocked). With the default 20x20 zone the matrix
 serializes to exactly 100 bytes.
+
+Perception is synthetic: ``perceive`` reads a ``GroundTruth`` of disc objects
+and vehicles. What does not depend on the viewer is built once per world and
+shared by every vehicle (``_world_view``): the zone's block centres, the mask
+of occupied blocks and the occluder disc arrays. A world with no disc of
+radius > 0 skips the occlusion test altogether; otherwise ``_hidden`` tests
+all discs at once against the block centres in sensing range, reproducing
+the float results of the rule applied to one disc at a time (see its
+docstring).
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,49 +202,82 @@ class GroundTruth:
             raise ValueError("vehicle radii must be non-negative")
 
 
-def _occluded_mask(
-    viewer: np.ndarray, centers: np.ndarray, occluders: list[tuple[Position, float]]
-) -> np.ndarray:
-    """Which block centers are hidden behind an occluder disc.
+class _WorldView(NamedTuple):
+    """What every viewer of one world and zone shares, as read-only arrays:
+    the zone's C block centres, which of them hold an object or vehicle,
+    and the M occluder discs of radius > 0, objects first."""
 
-    A disc blocks the view of a center c when the viewer-to-c segment passes
-    within the disc radius strictly between its endpoints: both the viewer
-    and c itself must lie outside the disc, so an object never shadows the
-    block it occupies.
-    """
-    occluded = np.zeros(len(centers), dtype=bool)
-    seg = centers - viewer
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
-    safe_len2 = np.where(seg_len2 == 0, 1.0, seg_len2)
-    for pos, radius in occluders:
-        if radius <= 0:
-            continue
-        q = np.asarray(pos, dtype=float)
-        w = q - viewer
-        if w @ w <= radius * radius:
-            continue  # viewer inside the disc: no clean shadow
-        t = np.clip((seg @ w) / safe_len2, 0.0, 1.0)
-        closest = viewer + t[:, None] * seg
-        d2 = ((q - closest) ** 2).sum(axis=1)
-        target_clear = ((centers - q) ** 2).sum(axis=1) > radius * radius
-        occluded |= (d2 <= radius * radius) & target_clear & (seg_len2 > 0)
-    return occluded
+    centers: np.ndarray  # (C, 2) block centres, row-major from the south-west
+    occupied: np.ndarray  # (C,) block holds an object or vehicle centre
+    q: np.ndarray  # (M, 2) disc centres
+    r2: np.ndarray  # (M,) squared radii
+    owner: np.ndarray  # (M,) vehicle id, None for an object
+    outside: np.ndarray  # (M, C) block centre lies outside the disc
 
 
 @lru_cache(maxsize=1)
-def _occupancy(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> np.ndarray:
-    """Read-only flat mask of the zone's blocks that hold an object or vehicle
-    center. It does not depend on the viewer, so every vehicle of a world
-    shares one; the engine perceives one world at a time, so one entry is
-    enough."""
+def _world_view(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> _WorldView:
+    """Build a world's ``_WorldView``. None of it depends on the viewer, and
+    the engine perceives one world at a time, so one cache entry lets every
+    vehicle share one. A radius-0 vehicle never occludes and is left out, so
+    a world of point vehicles without objects has no discs at all."""
     n = cfg.blocks_per_side
+    centers = block_centers(zone, cfg)
     occupied = np.zeros(n * n, dtype=bool)
     for pos in [p for p, _ in world.objects] + [p for _, p, _ in world.vehicles]:
         if locate_zone(pos, cfg) == zone:
             col, row = locate_block(pos, zone, cfg)
             occupied[row * n + col] = True
-    occupied.flags.writeable = False
-    return occupied
+    discs = [(pos, r, None) for pos, r in world.objects]
+    discs += [(pos, r, vid) for vid, pos, r in world.vehicles if r > 0]
+    q = np.array([pos for pos, _, _ in discs], dtype=float).reshape(-1, 2)
+    r2 = np.array([r * r for _, r, _ in discs], dtype=float)
+    owner = np.array([vid for _, _, vid in discs], dtype=object)
+    d2 = centers[:, 0] - q[:, :1]  # (M, C), squared in place to keep the peak low
+    d2 *= d2
+    dy = centers[:, 1] - q[:, 1:]
+    dy *= dy
+    d2 += dy
+    view = _WorldView(centers, occupied, q, r2, owner, d2 > r2[:, None])
+    for a in view:
+        a.flags.writeable = False
+    return view
+
+
+def _hidden(
+    self_id: int, viewer: np.ndarray, cols: np.ndarray, view: _WorldView
+) -> np.ndarray:
+    """The entries of ``cols`` whose block center is hidden behind a disc.
+
+    A disc blocks the view of a center c when the viewer-to-c segment passes
+    within the disc radius strictly between its endpoints: both the viewer
+    and c itself must lie outside the disc, so an object never shadows the
+    block it occupies. The viewer's own disc never occludes.
+
+    All remaining discs are tested at once, as (discs x cols) arrays.
+    Ties (a segment tangent to a disc, a center on its boundary) are decided
+    by exact float comparisons, so every value is computed in the float
+    order of the rule applied to one disc at a time. The two dot products
+    go through stacked ``np.matmul``, which computes each product with the
+    BLAS kernels of a single disc's ``seg @ w`` and ``w @ w``. An elementwise
+    ``x*x + y*y`` or ``einsum`` would not match where BLAS fuses the
+    multiply-add, as x86-64 OpenBLAS does. Everything else is elementwise on
+    split x/y arrays.
+    """
+    keep = view.owner != self_id
+    w = view.q[keep] - viewer
+    clear = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0] > view.r2[keep]
+    keep[keep] = clear  # a disc holding the viewer casts no shadow
+    q, w = view.q[keep], w[clear]
+    seg = view.centers[cols] - viewer
+    seg_len2 = np.einsum("ij,ij->i", seg, seg)
+    safe_len2 = np.where(seg_len2 == 0, 1.0, seg_len2)
+    t = np.matmul(seg, w[:, :, None])[:, :, 0] / safe_len2
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    dx = q[:, :1] - (viewer[0] + t * seg[:, 0])
+    dy = q[:, 1:] - (viewer[1] + t * seg[:, 1])
+    hit = (dx * dx + dy * dy <= view.r2[keep, None]) & view.outside[keep][:, cols]
+    return cols[hit.any(axis=0) & (seg_len2 > 0)]
 
 
 def perceive(
@@ -255,16 +298,17 @@ def perceive(
     if locate_zone(self_pos, cfg) != zone:
         raise OutOfZoneError(f"vehicle {self_id} at {self_pos!r} is outside zone {tuple(zone)}")
     n = cfg.blocks_per_side
-    centers = block_centers(zone, cfg)
+    view = _world_view(world, zone, cfg)
+    centers = view.centers
     viewer = np.asarray(self_pos, dtype=float)
     dist = np.hypot(centers[:, 0] - viewer[0], centers[:, 1] - viewer[1])
 
-    occluders = list(world.objects)
-    occluders += [(pos, r) for vid, pos, r in world.vehicles if vid != self_id]
-
     cells = np.full(n * n, int(BlockState.NO_OBJECT), dtype=np.uint8)
-    cells[_occupancy(world, zone, cfg)] = BlockState.OBJECT
-    cells[_occluded_mask(viewer, centers, occluders)] = BlockState.UNCERTAIN
+    cells[view.occupied] = BlockState.OBJECT
+    if len(view.r2):
+        # Only centers in range can read UNCERTAIN; the rest read 00 anyway.
+        cols = np.flatnonzero(dist <= sensing_range)
+        cells[_hidden(self_id, viewer, cols, view)] = BlockState.UNCERTAIN
     cells[dist > sensing_range] = BlockState.OUT_OF_SENSING
     return SensingMatrix(zone, cells.reshape(n, n))
 

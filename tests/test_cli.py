@@ -78,6 +78,16 @@ def test_run_bad_csma_window_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_empty_vehicle_list_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "empty.scenario"
+    path.write_text("vehicles: []\n")
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "at least one vehicle" in err
+    assert "Traceback" not in err
+
+
 def test_run_stalled_scenario_exits_two(tmp_path, capsys):
     cfg = ScenarioConfig(
         channel=ChannelConfig(comm_range=20.0, capture_threshold=0.0, path_loss_exponent=2.0),

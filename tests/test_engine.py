@@ -355,6 +355,25 @@ def test_tiny_min_separation_places_vehicles():
     assert len(build_world(cfg)[1]) == 2
 
 
+def test_separation_beyond_the_area_diagonal_fails_before_drawing(monkeypatch):
+    # No two points of a 10 x 10 area are 20 m apart. The check must come
+    # before the retry loop, which would otherwise spend 4M draws.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("placement drew points")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    cfg = ScenarioConfig(
+        placement=Placement(2, area=(0.0, 0.0, 10.0, 10.0), min_separation=20.0, connected=False)
+    )
+    with pytest.raises(ConfigError, match="diagonal"):
+        build_world(cfg)
+
+
+def test_empty_vehicle_list_is_a_config_error():
+    with pytest.raises(ConfigError, match="at least one vehicle"):
+        build_world(ScenarioConfig(vehicles=()))
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 

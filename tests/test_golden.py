@@ -2,10 +2,12 @@
 channel, perception, protocol or MACs that alters a simulated result fails
 here, not only in the benchmark.
 
-A digest covers the run's outcome, its tx/rx counters, every trace line and
-the final matrix bytes. The pinned values were recorded before the per-run
+A run digest covers the run's outcome, its tx/rx counters, every trace line
+and the final matrix bytes. The pinned values were recorded before the per-run
 link table and the per-world occupancy mask existed, so they also prove that
-both left every result byte-identical.
+both left every result byte-identical. A perceive digest covers the matrix
+every vehicle of a world perceives; those were recorded while occlusion still
+looped over one occluder at a time.
 """
 
 import hashlib
@@ -13,7 +15,15 @@ from dataclasses import replace
 
 import pytest
 
-from zonecast import ChannelConfig, RunMetrics, ScenarioConfig, run
+from zonecast import (
+    ChannelConfig,
+    Placement,
+    RunMetrics,
+    ScenarioConfig,
+    build_world,
+    perceive,
+    run,
+)
 from zonecast.presets import PRESETS
 
 FIG9 = PRESETS["paper-fig9"].base
@@ -83,3 +93,59 @@ def test_equidistant_zero_margin_run_matches_golden_digest(mac):
     assert run_digest(m) == EQUIDISTANT_DIGESTS[mac]
     if mac == "l3":
         assert m.trace[0] == "slot 1 | tx 2,3 | 1:D2 2:S 3:S 4:D2 5:D2 6:D3"
+
+
+# (vehicle count, seed) -> digest of every vehicle's perceived matrix, on the
+# default config: radius-1 m vehicles that occlude each other, 25 m range.
+PERCEIVE_DIGESTS = {
+    (25, 0): "bb769940d628203a",
+    (25, 1): "472f71affe64f6c5",
+    (25, 2): "169d129bde0d292e",
+    (100, 0): "6626114cc22fec6d",
+    (100, 1): "82aaba04751b7995",
+    (100, 2): "eac76ba8cff66271",
+}
+
+# Objects of radius 0.5, 1 and 2.5 among radius-1 m vehicles. Vehicle 1 at
+# (50, 50) lies 1.12 m from the centre of the 2.5 m disc at (51, 50.5), so
+# vehicle 1 sees past that disc.
+OBJECTS_WORLD = ScenarioConfig(
+    vehicles=(
+        (1, (50.0, 50.0)),
+        (2, (42.3, 57.9)),
+        (3, (63.1, 44.2)),
+        (4, (27.5, 31.0)),
+        (5, (70.2, 72.8)),
+        (6, (55.0, 20.5)),
+        (7, (35.5, 48.25)),
+        (8, (81.0, 52.0)),
+    ),
+    objects=(
+        ((51.0, 50.5), 2.5),
+        ((45.0, 45.0), 0.5),
+        ((60.0, 60.0), 1.0),
+        ((30.0, 40.0), 2.5),
+        ((75.0, 50.0), 1.0),
+    ),
+    sensing_range=40.0,
+)
+OBJECTS_WORLD_DIGEST = "40dd48e44b7e8f1b"
+
+
+def perceive_digest(cfg: ScenarioConfig) -> str:
+    zone, vehicles, world = build_world(cfg)
+    h = hashlib.sha256()
+    for vid, pos in vehicles:
+        mat = perceive(vid, pos, world, zone, cfg.grid, cfg.sensing_range)
+        h.update(mat.cells.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("count,seed", sorted(PERCEIVE_DIGESTS))
+def test_every_perceived_matrix_matches_golden_digest(count, seed):
+    cfg = ScenarioConfig(placement=Placement(count), seed=seed)
+    assert perceive_digest(cfg) == PERCEIVE_DIGESTS[(count, seed)]
+
+
+def test_objects_world_perceived_matrices_match_golden_digest():
+    assert perceive_digest(OBJECTS_WORLD) == OBJECTS_WORLD_DIGEST

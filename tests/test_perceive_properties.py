@@ -1,0 +1,180 @@
+"""Property tests: perceive against a reference that tests one occluder at a
+time, over random small worlds.
+
+Vehicles, objects and the zone's block centres sit on a half-metre lattice
+and radii are 0, 0.5, 1, 2 or 2.5 m, so exact ties are common: segments
+tangent to a disc, block centres on a disc's boundary, viewers on or inside
+a disc and viewers exactly on a block centre. Occlusion is decided by
+``<=`` and ``>`` comparisons, so a tie evaluated in a different float order
+would flip a cell.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from zonecast import (
+    BlockState,
+    GridConfig,
+    GroundTruth,
+    ZoneIndex,
+    block_centers,
+    locate_block,
+    locate_zone,
+    perceive,
+)
+
+# 10 x 10 blocks of 2 m: block centres lie on odd metres.
+G = GridConfig(zone_side=20.0, block_side=2.0)
+Z = ZoneIndex(0, 0)
+RADII = (0.0, 0.5, 1.0, 2.0, 2.5)
+
+
+def reference_occluded_mask(viewer, centers, occluders):
+    """The occlusion rule, one occluder disc at a time."""
+    occluded = np.zeros(len(centers), dtype=bool)
+    seg = centers - viewer
+    seg_len2 = np.einsum("ij,ij->i", seg, seg)
+    safe_len2 = np.where(seg_len2 == 0, 1.0, seg_len2)
+    for pos, radius in occluders:
+        if radius <= 0:
+            continue
+        q = np.asarray(pos, dtype=float)
+        w = q - viewer
+        if w @ w <= radius * radius:
+            continue  # viewer inside the disc: no clean shadow
+        t = np.clip((seg @ w) / safe_len2, 0.0, 1.0)
+        closest = viewer + t[:, None] * seg
+        d2 = ((q - closest) ** 2).sum(axis=1)
+        target_clear = ((centers - q) ** 2).sum(axis=1) > radius * radius
+        occluded |= (d2 <= radius * radius) & target_clear & (seg_len2 > 0)
+    return occluded
+
+
+def reference_perceive(self_id, self_pos, world, zone, cfg, sensing_range):
+    n = cfg.blocks_per_side
+    centers = block_centers(zone, cfg)
+    viewer = np.asarray(self_pos, dtype=float)
+    dist = np.hypot(centers[:, 0] - viewer[0], centers[:, 1] - viewer[1])
+
+    occluders = list(world.objects)
+    occluders += [(pos, r) for vid, pos, r in world.vehicles if vid != self_id]
+
+    occupied = np.zeros(n * n, dtype=bool)
+    for pos in [p for p, _ in world.objects] + [p for _, p, _ in world.vehicles]:
+        if locate_zone(pos, cfg) == zone:
+            col, row = locate_block(pos, zone, cfg)
+            occupied[row * n + col] = True
+
+    cells = np.full(n * n, int(BlockState.NO_OBJECT), dtype=np.uint8)
+    cells[occupied] = BlockState.OBJECT
+    cells[reference_occluded_mask(viewer, centers, occluders)] = BlockState.UNCERTAIN
+    cells[dist > sensing_range] = BlockState.OUT_OF_SENSING
+    return cells.reshape(n, n)
+
+
+def assert_every_viewer_matches(world, sensing_range):
+    for vid, pos, _ in world.vehicles:
+        got = perceive(vid, pos, world, Z, G, sensing_range)
+        want = reference_perceive(vid, pos, world, Z, G, sensing_range)
+        assert got.cells.tolist() == want.tolist(), f"viewer {vid} at {pos}"
+
+
+lattice = st.integers(0, 39).map(lambda k: k * 0.5)
+points = st.tuples(lattice, lattice)
+
+
+@st.composite
+def worlds(draw):
+    spots = draw(st.lists(points, min_size=1, max_size=10, unique=True))
+    ids = draw(st.permutations(range(1, 30)))[: len(spots)]
+    vehicles = tuple(
+        (vid, pos, draw(st.sampled_from(RADII))) for vid, pos in zip(ids, spots)
+    )
+    objects = tuple(
+        draw(st.lists(st.tuples(points, st.sampled_from(RADII[1:])), max_size=5))
+    )
+    return GroundTruth(objects=objects, vehicles=vehicles)
+
+
+# The segment from (1, 1) to the centre (1, 9) is tangent to the 1 m disc of
+# vehicle 2 at (2, 5). The viewer and centre (1, 1) and the centres (3, 3) and
+# (1, 5) lie on the boundary of the 2 m disc at (1, 3).
+TANGENT = GroundTruth(
+    objects=(((1.0, 3.0), 2.0),),
+    vehicles=((1, (1.0, 1.0), 1.0), (2, (2.0, 5.0), 1.0), (3, (7.0, 7.0), 0.0)),
+)
+# Vehicle 1 is inside the 2.5 m disc at (6, 5.5); vehicle 2 is on the
+# boundary of the 1 m disc at (10, 11).
+INSIDE = GroundTruth(
+    objects=(((6.0, 5.5), 2.5), ((10.0, 11.0), 1.0)),
+    vehicles=((1, (5.0, 5.0), 1.0), (2, (10.0, 10.0), 2.0), (3, (13.0, 9.0), 0.5)),
+)
+POINT_VEHICLES = GroundTruth(
+    vehicles=((1, (3.0, 3.0), 0.0), (2, (9.0, 9.0), 0.0), (3, (15.5, 4.0), 0.0)),
+)
+LONE_VIEWER = GroundTruth(vehicles=((7, (9.0, 11.0), 1.0),))
+# Decimal coordinates are inexact in binary, so a viewer on a disc's boundary
+# (|w| = 2.5 and 2.0 here) and the segments that graze the disc come out an
+# ulp either side of the radius, depending on whether the dot products fuse
+# their multiply-add the way BLAS does. Found by a search over decimal worlds.
+DECIMAL_BOUNDARY = GroundTruth(
+    objects=(((0.8, 5.4), 2.5),),
+    vehicles=((1, (2.8, 3.9), 1.0),),
+)
+DECIMAL_GRAZE = GroundTruth(
+    objects=(((12.6, 9.7), 2.0),),
+    vehicles=((1, (13.8, 8.1), 1.0),),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=worlds(), sensing_range=st.sampled_from([3.0, 8.0, 30.0]))
+@example(world=TANGENT, sensing_range=30.0)
+@example(world=INSIDE, sensing_range=30.0)
+@example(world=POINT_VEHICLES, sensing_range=8.0)
+@example(world=LONE_VIEWER, sensing_range=30.0)
+@example(world=DECIMAL_BOUNDARY, sensing_range=30.0)
+@example(world=DECIMAL_GRAZE, sensing_range=30.0)
+def test_perceive_matches_one_occluder_at_a_time_reference(world, sensing_range):
+    assert_every_viewer_matches(world, sensing_range)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spots=st.lists(
+        st.tuples(st.floats(0.0, 19.99), st.floats(0.0, 19.99)),
+        min_size=1,
+        max_size=12,
+        unique=True,
+    ),
+    radius=st.sampled_from(RADII[1:]),
+    objects=st.lists(st.tuples(points, st.floats(0.1, 3.0)), max_size=4),
+)
+def test_perceive_matches_reference_off_the_lattice(spots, radius, objects):
+    world = GroundTruth(
+        objects=tuple(objects),
+        vehicles=tuple((i + 1, pos, radius) for i, pos in enumerate(spots)),
+    )
+    assert_every_viewer_matches(world, 25.0)
+
+
+def test_own_disc_never_occludes_even_away_from_the_viewer():
+    # Vehicle 1 perceives from (1, 1) while the world holds its disc at
+    # (5, 1), right across the segment to the centre (9, 1).
+    world = GroundTruth(vehicles=((1, (5.0, 1.0), 1.0), (2, (15.0, 15.0), 1.0)))
+    got = perceive(1, (1.0, 1.0), world, Z, G, 30.0)
+    assert got.cells.tolist() == reference_perceive(1, (1.0, 1.0), world, Z, G, 30.0).tolist()
+    assert got.cells[0, 4] == BlockState.NO_OBJECT
+
+
+def test_tie_examples_hit_the_ties_they_name():
+    # Guards the @example worlds above against a silent edit.
+    centers = block_centers(Z, G)
+    viewer = np.array([1.0, 1.0])
+    mask = reference_occluded_mask(viewer, centers, [((2.0, 5.0), 1.0)])
+    assert mask[4 * 10 + 0]  # centre (1, 9): its segment touches the disc
+    assert ((centers - (1.0, 3.0)) ** 2).sum(axis=1).tolist().count(4.0) == 3
+    assert np.hypot(5.0 - 6.0, 5.0 - 5.5) < 2.5  # vehicle 1 inside a disc
+    assert np.hypot(10.0 - 10.0, 10.0 - 11.0) == 1.0  # vehicle 2 on a boundary
+    assert any(tuple(c) == (9.0, 11.0) for c in centers)  # viewer on a centre

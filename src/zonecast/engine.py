@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -146,11 +147,20 @@ def _is_connected(points: np.ndarray, comm_range: float) -> bool:
     return bool(seen.all())
 
 
+# Points drawn per placement attempt; a larger count can never be placed.
+_DRAWS_PER_ATTEMPT = 20_000
+
+
 def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
     p = cfg.placement
     assert p is not None
     if p.count < 1:
         raise ConfigError("placement.count must be >= 1")
+    if p.count > _DRAWS_PER_ATTEMPT:
+        raise ConfigError(
+            f"placement.count {p.count} exceeds {_DRAWS_PER_ATTEMPT}, the "
+            "points one placement attempt draws"
+        )
     if p.area is not None:
         x0, y0, x1, y1 = p.area
     else:
@@ -158,6 +168,7 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
         x0, y0, x1, y1 = ox, oy, ox + cfg.grid.zone_side, oy + cfg.grid.zone_side
     if x1 <= x0 or y1 <= y0:
         raise ConfigError(f"degenerate placement area {p.area!r}")
+    s, reach = p.min_separation, cfg.channel.comm_range
     if p.count > 1:
         if p.connected and p.min_separation > cfg.channel.comm_range:
             raise ConfigError(
@@ -173,7 +184,6 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
             # Disc-packing bound: points pairwise >= s apart carry disjoint
             # discs of radius s/2 inside the area grown by s on each side.
             # Dividing by s twice, not by s*s, which underflows to 0.
-            s = p.min_separation
             capacity = (x1 - x0 + s) / s * (y1 - y0 + s) / s * 4 / math.pi
             if p.count > capacity:
                 raise ConfigError(
@@ -187,16 +197,14 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
         # which keeps the layout connected by construction.
         pts: list[tuple[float, float]] = []
         tries = 0
-        while len(pts) < p.count and tries < 20_000:
+        while len(pts) < p.count and tries < _DRAWS_PER_ATTEMPT:
             tries += 1
             x = float(rng.uniform(x0, x1))
             y = float(rng.uniform(y0, y1))
-            if any(math.dist((x, y), q) < p.min_separation for q in pts):
-                continue
-            if p.connected and pts and all(
-                math.dist((x, y), q) > cfg.channel.comm_range for q in pts
-            ):
-                continue
+            if pts:
+                gap = min(map(math.dist, itertools.repeat((x, y)), pts))
+                if gap < s or (p.connected and gap > reach):
+                    continue
             pts.append((x, y))
         if len(pts) < p.count:
             continue

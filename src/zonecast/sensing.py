@@ -7,6 +7,15 @@ content. The four values are NO_OBJECT (10), OBJECT (11), OUT_OF_SENSING (00)
 and UNCERTAIN (01, view blocked). With the default 20x20 zone the matrix
 serializes to exactly 100 bytes.
 
+The codec and the merge run once per delivered frame, so each is one array
+operation: ``decode`` gathers four cells per payload byte from a 256 x 4
+unpack table, ``encode`` packs each group of four cells as one ``uint8`` dot
+product with (64, 16, 4, 1), and ``aggregate`` reads a flat 16-entry merge
+table at ``(current << 2) | received``. Their results, like ``perceive``'s
+and ``copy``'s, hold two-bit values by construction, so they are wrapped by
+``SensingMatrix._of`` without the range check that the public constructor
+applies to cells from outside.
+
 Perception is synthetic: ``perceive`` reads a ``GroundTruth`` of disc objects
 and vehicles. What does not depend on the viewer is built once per world and
 shared by every vehicle (``_world_view``): the zone's block centres, the mask
@@ -86,8 +95,17 @@ class SensingMatrix:
     def n(self) -> int:
         return self.cells.shape[1]
 
+    @classmethod
+    def _of(cls, zone: ZoneIndex, cells: np.ndarray) -> "SensingMatrix":
+        """Wrap a 2-D ``uint8`` array whose values are known to fit in two
+        bits, without the public constructor's conversion and range check."""
+        mat = object.__new__(cls)
+        mat.zone = zone
+        mat.cells = cells
+        return mat
+
     def copy(self) -> "SensingMatrix":
-        return SensingMatrix(self.zone, self.cells.copy())
+        return SensingMatrix._of(self.zone, self.cells.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SensingMatrix):
@@ -99,6 +117,13 @@ class SensingMatrix:
         )
 
 
+_QUAD_WEIGHTS = np.array([64, 16, 4, 1], dtype=np.uint8)
+
+# _UNPACK[byte] is the byte's four cells, highest-order bit pair first.
+_UNPACK = np.array([[b >> k & 3 for k in (6, 4, 2, 0)] for b in range(256)], dtype=np.uint8)
+_UNPACK.flags.writeable = False
+
+
 def encode(mat: SensingMatrix) -> bytes:
     """Pack a matrix into ceil(m*n/4) bytes.
 
@@ -108,35 +133,36 @@ def encode(mat: SensingMatrix) -> bytes:
     exactly 100 bytes; when the cell count is not a multiple of four the last
     byte is padded with zero bits so equal matrices still encode to equal
     bytes.
+
+    Each byte is the ``uint8`` dot product of its four cells with
+    (64, 16, 4, 1); two-bit cells sum to at most 255, so it cannot wrap.
     """
     flat = mat.cells.reshape(-1)
     if flat.size % 4:
         flat = np.concatenate([flat, np.zeros(-flat.size % 4, dtype=np.uint8)])
-    quads = flat.reshape(-1, 4)
-    packed = (quads[:, 0] << 6) | (quads[:, 1] << 4) | (quads[:, 2] << 2) | quads[:, 3]
-    return packed.astype(np.uint8).tobytes()
+    return (flat.reshape(-1, 4) @ _QUAD_WEIGHTS).tobytes()
 
 
 def decode(data: bytes, zone: ZoneIndex, m: int, n: int) -> SensingMatrix:
-    """Inverse of encode; raises PayloadSizeError on a wrong-length payload."""
+    """Inverse of encode; raises PayloadSizeError on a wrong-length payload.
+
+    One gather through the 256 x 4 unpack table turns the payload into a
+    fresh cell array; padding cells past m*n are dropped whatever their
+    bits.
+    """
     expected = (m * n + 3) // 4
     data = bytes(data)
     if len(data) != expected:
         raise PayloadSizeError(
             f"expected {expected} bytes for a {m}x{n} matrix, got {len(data)}"
         )
-    b = np.frombuffer(data, dtype=np.uint8)
-    cells = np.empty((b.size, 4), dtype=np.uint8)
-    cells[:, 0] = b >> 6
-    cells[:, 1] = (b >> 4) & 3
-    cells[:, 2] = (b >> 2) & 3
-    cells[:, 3] = b & 3
-    return SensingMatrix(zone, cells.reshape(-1)[: m * n].reshape(m, n))
+    cells = _UNPACK.take(np.frombuffer(data, dtype=np.uint8), axis=0)
+    return SensingMatrix._of(zone, cells.reshape(-1)[: m * n].reshape(m, n))
 
 
 def _merge_table() -> np.ndarray:
-    """4x4 lookup: table[current, received] -> merged cell value."""
-    table = np.empty((4, 4), dtype=np.uint8)
+    """Flat 16-entry lookup: table[(current << 2) | received] -> merged cell."""
+    table = np.empty(16, dtype=np.uint8)
     for cur in range(4):
         for rec in range(4):
             if rec >> 1 == 0:
@@ -147,11 +173,12 @@ def _merge_table() -> np.ndarray:
                 out = BlockState.UNCERTAIN  # sensed but contradictory
             else:
                 out = cur
-            table[cur, rec] = out
+            table[cur << 2 | rec] = out
     return table
 
 
 _MERGE = _merge_table()
+_MERGE.flags.writeable = False
 
 
 def aggregate(
@@ -163,6 +190,9 @@ def aggregate(
     two sensed values that disagree reset the cell to UNCERTAIN; everything
     else is left alone. Returns the merged matrix and whether any cell's
     value actually differs from before.
+
+    The merge is one read of the 16-entry table at ``(current << 2) |
+    received``, and ``changed`` compares the two cell buffers byte for byte.
     """
     if current.zone != received.zone:
         raise IncompatibleMatrixError(
@@ -172,9 +202,9 @@ def aggregate(
         raise IncompatibleMatrixError(
             f"shape mismatch: {current.cells.shape} vs {received.cells.shape}"
         )
-    merged = _MERGE[current.cells, received.cells]
-    changed = not np.array_equal(merged, current.cells)
-    return SensingMatrix(current.zone, merged), changed
+    merged = _MERGE.take((current.cells << 2) | received.cells)
+    changed = merged.tobytes() != current.cells.tobytes()
+    return SensingMatrix._of(current.zone, merged), changed
 
 
 def has_uncertain(mat: SensingMatrix) -> bool:
@@ -190,6 +220,10 @@ class GroundTruth:
     vehicles: (id, (x, y) position, radius) triples. Vehicles are both
     detectable objects and occluders for everyone else's view. A radius of 0
     means a point vehicle that never occludes.
+
+    The hash is computed once, at construction: every ``perceive`` looks the
+    world up in ``_world_view``'s cache, and rehashing all N vehicles there
+    would cost O(N^2) per world.
     """
 
     objects: tuple[tuple[Position, float], ...] = ()
@@ -200,6 +234,10 @@ class GroundTruth:
             raise ValueError("object radii must be positive")
         if any(r < 0 for _, _, r in self.vehicles):
             raise ValueError("vehicle radii must be non-negative")
+        object.__setattr__(self, "_hash", hash((self.objects, self.vehicles)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class _WorldView(NamedTuple):
@@ -310,7 +348,7 @@ def perceive(
         cols = np.flatnonzero(dist <= sensing_range)
         cells[_hidden(self_id, viewer, cols, view)] = BlockState.UNCERTAIN
     cells[dist > sensing_range] = BlockState.OUT_OF_SENSING
-    return SensingMatrix(zone, cells.reshape(n, n))
+    return SensingMatrix._of(zone, cells.reshape(n, n))
 
 
 def format_matrix(mat: SensingMatrix) -> str:

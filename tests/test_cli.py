@@ -88,6 +88,16 @@ def test_run_empty_vehicle_list_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_unplaceable_vehicle_count_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "huge.scenario"
+    path.write_text(f"placement: {{count: {10**12}, min_separation: 0}}\n")
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "placement.count" in err
+    assert "Traceback" not in err
+
+
 def test_run_stalled_scenario_exits_two(tmp_path, capsys):
     cfg = ScenarioConfig(
         channel=ChannelConfig(comm_range=20.0, capture_threshold=0.0, path_loss_exponent=2.0),

@@ -1,0 +1,212 @@
+"""Property tests: the table-driven codec and merge against the bit-shift
+implementations they replaced, kept below as references.
+
+Shapes run from 1x1 to 23x23, so most cell counts are not a multiple of
+four and the last payload byte carries padding bits. Payloads arrive as
+``bytes``, ``bytearray`` or ``memoryview``, with any padding bits set.
+Every result must be a fresh, writable ``uint8`` array that shares memory
+with neither its inputs nor a lookup table.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from zonecast import (
+    BlockState,
+    PayloadSizeError,
+    SensingMatrix,
+    ZoneIndex,
+    aggregate,
+    decode,
+    encode,
+    sensing,
+)
+
+Z = ZoneIndex(0, 0)
+TABLES = (sensing._UNPACK, sensing._MERGE, sensing._QUAD_WEIGHTS)
+
+
+def reference_encode(mat: SensingMatrix) -> bytes:
+    flat = mat.cells.reshape(-1)
+    if flat.size % 4:
+        flat = np.concatenate([flat, np.zeros(-flat.size % 4, dtype=np.uint8)])
+    quads = flat.reshape(-1, 4)
+    packed = (quads[:, 0] << 6) | (quads[:, 1] << 4) | (quads[:, 2] << 2) | quads[:, 3]
+    return packed.astype(np.uint8).tobytes()
+
+
+def reference_decode(data: bytes, zone: ZoneIndex, m: int, n: int) -> SensingMatrix:
+    expected = (m * n + 3) // 4
+    data = bytes(data)
+    if len(data) != expected:
+        raise PayloadSizeError(
+            f"expected {expected} bytes for a {m}x{n} matrix, got {len(data)}"
+        )
+    b = np.frombuffer(data, dtype=np.uint8)
+    cells = np.empty((b.size, 4), dtype=np.uint8)
+    cells[:, 0] = b >> 6
+    cells[:, 1] = (b >> 4) & 3
+    cells[:, 2] = (b >> 2) & 3
+    cells[:, 3] = b & 3
+    return SensingMatrix(zone, cells.reshape(-1)[: m * n].reshape(m, n))
+
+
+def reference_merge_table() -> np.ndarray:
+    table = np.empty((4, 4), dtype=np.uint8)
+    for cur in range(4):
+        for rec in range(4):
+            if rec >> 1 == 0:
+                out = cur
+            elif cur >> 1 == 0:
+                out = rec
+            elif cur != rec:
+                out = BlockState.UNCERTAIN
+            else:
+                out = cur
+            table[cur, rec] = out
+    return table
+
+
+REFERENCE_MERGE = reference_merge_table()
+
+
+def reference_aggregate(current: SensingMatrix, received: SensingMatrix):
+    merged = REFERENCE_MERGE[current.cells, received.cells]
+    changed = not np.array_equal(merged, current.cells)
+    return SensingMatrix(current.zone, merged), changed
+
+
+def assert_fresh(cells: np.ndarray, shape, *inputs) -> None:
+    assert cells.dtype == np.uint8
+    assert cells.shape == shape
+    assert cells.flags.writeable
+    for other in (*inputs, *TABLES):
+        assert not np.shares_memory(cells, other)
+
+
+dims = st.integers(1, 23)
+
+
+@st.composite
+def matrices(draw, m=None, n=None):
+    m = draw(dims) if m is None else m
+    n = draw(dims) if n is None else n
+    return SensingMatrix(Z, draw(arrays(np.uint8, (m, n), elements=st.integers(0, 3))))
+
+
+@st.composite
+def payloads(draw):
+    """A right-length payload of any bytes (so padding bits may be set), in
+    one of the buffer types a payload can arrive as."""
+    m, n = draw(dims), draw(dims)
+    raw = draw(st.binary(min_size=(m * n + 3) // 4, max_size=(m * n + 3) // 4))
+    kind = draw(st.sampled_from((bytes, bytearray, memoryview)))
+    return m, n, kind(raw)
+
+
+@given(matrices())
+def test_encode_matches_reference(mat):
+    assert encode(mat) == reference_encode(mat)
+
+
+@given(payloads())
+def test_decode_matches_reference_whatever_the_padding_bits(case):
+    m, n, payload = case
+    got = decode(payload, Z, m, n)
+    want = reference_decode(payload, Z, m, n)
+    assert got == want
+    assert_fresh(got.cells, (m, n), np.frombuffer(payload, dtype=np.uint8))
+    # Re-encoding clears the padding bits, as the reference does.
+    assert encode(got) == reference_encode(want)
+
+
+@given(matrices(), st.sampled_from((bytes, bytearray, memoryview)))
+def test_round_trip_through_every_buffer_type(mat, kind):
+    got = decode(kind(encode(mat)), Z, mat.m, mat.n)
+    assert got == mat
+    assert_fresh(got.cells, (mat.m, mat.n), mat.cells)
+
+
+@given(
+    dims,
+    dims,
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from((bytes, bytearray, memoryview)),
+)
+def test_wrong_lengths_raise_payload_size_error(m, n, delta, kind):
+    size = max((m * n + 3) // 4 + delta, 0)  # m, n >= 1, so 0 bytes is wrong too
+    payload = kind(bytes(b % 256 for b in range(size)))
+    with pytest.raises(PayloadSizeError):
+        reference_decode(payload, Z, m, n)
+    with pytest.raises(PayloadSizeError):
+        decode(payload, Z, m, n)
+
+
+@given(payloads())
+def test_mutating_a_decoded_matrix_leaves_the_next_decode_unchanged(case):
+    m, n, payload = case
+    first = decode(payload, Z, m, n)
+    first.cells ^= 3
+    assert decode(payload, Z, m, n) == reference_decode(payload, Z, m, n)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """A current matrix and a received one: independent, or the current
+    one with some cells unsensed (a merge that may change nothing)."""
+    current = draw(matrices())
+    if draw(st.booleans()):
+        received = draw(matrices(current.m, current.n))
+    else:
+        keep = draw(arrays(bool, current.cells.shape))
+        received = SensingMatrix(Z, np.where(keep, current.cells, 0).astype(np.uint8))
+    return current, received
+
+
+@given(matrix_pairs())
+@settings(max_examples=200)
+def test_aggregate_matches_reference(pair):
+    current, received = pair
+    before = (current.cells.copy(), received.cells.copy())
+    merged, changed = aggregate(current, received)
+    want, want_changed = reference_aggregate(current, received)
+    assert merged == want
+    assert changed is want_changed
+    assert_fresh(merged.cells, current.cells.shape, current.cells, received.cells)
+    assert np.array_equal(current.cells, before[0])
+    assert np.array_equal(received.cells, before[1])
+
+
+@given(matrix_pairs())
+def test_mutating_a_merged_matrix_leaves_the_next_merge_unchanged(pair):
+    current, received = pair
+    merged, _ = aggregate(current, received)
+    merged.cells[...] = 3
+    again, changed = aggregate(current, received)
+    want, want_changed = reference_aggregate(current, received)
+    assert again == want and changed is want_changed
+
+
+def test_merge_table_covers_every_cell_pair():
+    for cur in range(4):
+        for rec in range(4):
+            got, _ = aggregate(
+                SensingMatrix(Z, [[cur]]), SensingMatrix(Z, [[rec]])
+            )
+            assert got.cells[0, 0] == REFERENCE_MERGE[cur, rec]
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        SensingMatrix(Z, [[4]])
+    with pytest.raises(ValueError):
+        SensingMatrix(Z, [1, 2])
+
+
+def test_copy_is_fresh_and_equal():
+    mat = SensingMatrix(Z, [[1, 2], [3, 0]])
+    dup = mat.copy()
+    assert dup == mat and not np.shares_memory(dup.cells, mat.cells)

@@ -5,6 +5,8 @@ segment/disc distances quoted in comments are straightforward to verify with
 pen and paper.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,14 @@ def test_format_matrix_prints_north_row_first():
         "11 11 01",
         "10 10 11",
     ]
+
+
+def test_equal_worlds_hash_and_compare_equal():
+    vehicles = ((1, (2.5, 2.5), 0.0), (2, (7.5, 2.5), 1.0))
+    a = GroundTruth(objects=(((12.5, 12.5), 1.0),), vehicles=vehicles)
+    b = GroundTruth(objects=(((12.5, 12.5), 1.0),), vehicles=tuple(list(vehicles)))
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.objects, a.vehicles))  # same value as before caching
+    moved = dataclasses.replace(a, vehicles=vehicles[:1])
+    assert moved != a and hash(moved) == hash((moved.objects, moved.vehicles))
+    assert len({a, b, moved}) == 2

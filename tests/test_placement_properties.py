@@ -1,0 +1,138 @@
+"""Property tests: random placement against the loop it replaced, which
+tested every candidate against every placed point with ``any``/``all`` over
+``math.dist``.
+
+The areas are a few ulps wide, so every drawn coordinate is a lattice
+point and ``min_separation`` and ``comm_range`` can be set to exact lattice
+distances: candidates land exactly on a threshold, where the placement must
+decide as the old loop did. The lattices sit at unit scale, at 2**40, in
+the subnormal range and near 2**1000. Off the lattices, thresholds are set
+to the exact gap between the first two drawn points, and ordinary
+placements in a 100 m zone are compared too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zonecast.channel import ChannelConfig
+from zonecast.engine import Placement, ScenarioConfig, _is_connected, _place_vehicles
+
+
+def reference_place(cfg: ScenarioConfig):
+    """The drawing loop of the old placement, for inputs that pass its
+    up-front checks."""
+    p = cfg.placement
+    if p.area is not None:
+        x0, y0, x1, y1 = p.area
+    else:
+        ox, oy = cfg.grid.origin
+        x0, y0, x1, y1 = ox, oy, ox + cfg.grid.zone_side, oy + cfg.grid.zone_side
+    rng = np.random.default_rng([cfg.seed, 0x9E3779B9])
+    for _ in range(200):
+        pts: list[tuple[float, float]] = []
+        tries = 0
+        while len(pts) < p.count and tries < 20_000:
+            tries += 1
+            x = float(rng.uniform(x0, x1))
+            y = float(rng.uniform(y0, y1))
+            if any(math.dist((x, y), q) < p.min_separation for q in pts):
+                continue
+            if p.connected and pts and all(
+                math.dist((x, y), q) > cfg.channel.comm_range for q in pts
+            ):
+                continue
+            pts.append((x, y))
+        if len(pts) < p.count:
+            continue
+        if p.connected and not _is_connected(np.array(pts), cfg.channel.comm_range):
+            continue
+        return tuple((i + 1, pos) for i, pos in enumerate(pts))
+    raise AssertionError("reference placement gave up")
+
+
+# (origin, ulp) of lattices at several scales; 0.0 gives subnormal spacing.
+LATTICES = ((1.0, 2.0**-52), (2.0**40, 2.0**-12), (0.0, 5e-324), (2.0**1000, 2.0**948))
+
+
+@st.composite
+def lattice_configs(draw):
+    """Lattices of 5-7 points a side with separations of 0, 1 or sqrt(2)
+    steps, comm ranges up to 2*sqrt(2) steps and up to 7 vehicles. Every
+    layout fits, so no draw loop runs out of tries."""
+    origin, ulp = draw(st.sampled_from(LATTICES))
+
+    def step(i, j):
+        return math.dist((origin, origin), (origin + i * ulp, origin + j * ulp))
+
+    side, count = draw(st.integers(4, 6)), draw(st.integers(2, 7))
+    sep = step(*draw(st.sampled_from(((0, 0), (1, 0), (1, 1)))))
+    reach = step(*draw(st.sampled_from(((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)))))
+    connected = draw(st.booleans()) and reach >= sep
+    end = origin + side * ulp
+    return ScenarioConfig(
+        channel=ChannelConfig(comm_range=reach),
+        placement=Placement(count, (origin, origin, end, end), sep, connected),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@given(lattice_configs())
+@settings(max_examples=300, deadline=None)
+def test_lattice_placement_matches_the_math_dist_loop(cfg):
+    assert _place_vehicles(cfg) == reference_place(cfg)
+
+
+@given(
+    st.integers(2, 60),
+    st.sampled_from((0.5, 1.0, 5.0)),
+    st.sampled_from((10.0, 20.0, 40.0)),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_zone_placement_matches_the_math_dist_loop(count, sep, reach, connected, seed):
+    cfg = ScenarioConfig(
+        channel=ChannelConfig(comm_range=reach),
+        placement=Placement(count, None, sep, connected),
+        seed=seed,
+    )
+    assert _place_vehicles(cfg) == reference_place(cfg)
+
+
+@pytest.mark.parametrize("side", [100.0, 1e-310, 2.0**1000])
+def test_thresholds_equal_to_the_first_drawn_gap(side):
+    # A threshold set to exactly the math.dist of the first two draws:
+    # the second point is accepted at min_separation == gap and at
+    # comm_range == gap.
+    area = (0.0, 0.0, side, side)
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 0x9E3779B9])
+        first, second = [(float(rng.uniform(0, side)), float(rng.uniform(0, side))) for _ in "ab"]
+        gap = math.dist(first, second)
+        for cfg in (
+            ScenarioConfig(placement=Placement(2, area, gap, False), seed=seed),
+            ScenarioConfig(
+                channel=ChannelConfig(comm_range=gap),
+                placement=Placement(2, area, 0.0, True),
+                seed=seed,
+            ),
+        ):
+            assert _place_vehicles(cfg) == reference_place(cfg)
+
+
+def test_exact_ties_are_decided_as_math_dist_decides():
+    # At unit scale the lattice step is one ulp: separations of exactly one
+    # step sit on the threshold and must be accepted (math.dist is not < s).
+    ulp = 2.0**-52
+    cfg = ScenarioConfig(
+        channel=ChannelConfig(comm_range=ulp),
+        placement=Placement(5, (1.0, 1.0, 1.0 + 4 * ulp, 1.0 + 4 * ulp), ulp, True),
+    )
+    placed = _place_vehicles(cfg)
+    assert placed == reference_place(cfg)
+    gaps = [math.dist(a, b) for i, (_, a) in enumerate(placed) for _, b in placed[i + 1:]]
+    assert min(gaps) == ulp

@@ -12,7 +12,6 @@ from .channel import (
     ChannelConfig,
     DegenerateGeometryError,
     InvalidSlotError,
-    Outcome,
     Packet,
     Transmission,
     received_power,
@@ -42,7 +41,7 @@ from .grid import (
     locate_zone,
     zone_origin,
 )
-from .presets import PRESETS, SweepPreset
+from .presets import PRESETS
 from .protocol import (
     VehicleState,
     init_vehicle,

@@ -1,11 +1,14 @@
-"""Slotted simulation engine for one zone: scenario construction, the
-deterministic slot loop, a contention-MAC baseline, and seeded sweeps.
+"""Simulation engine for one zone: scenario construction, one slot loop
+shared by two MACs, and seeded sweeps.
 
-A run is a sequence of barrier-phased slots: collect every armed vehicle's
-transmission, resolve the slot on the channel, apply deliveries. It ends at
-the quiescent slot — the first silent slot in which all matrices are
-identical — or at the max_slots safety cap (converged=False; a capture-less
-collision can legitimately stall the exchange).
+A run is a sequence of barrier-phased slots. In each one the MAC collects
+the armed vehicles' transmissions, decides what every vehicle hears and
+applies the deliveries. The slotted MAC resolves synchronized slots on the
+capture/constructive-interference channel; the CSMA baseline contends with
+random backoff and carrier sense. The run ends at the first silent slot —
+converged if every matrix is then identical, provably stalled otherwise (a
+capture-less collision can legitimately stall the exchange) — or at the
+max_slots safety cap (converged=False).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,8 +26,7 @@ from .channel import (
     COLLISION,
     DELIVERED,
     ChannelConfig,
-    Outcome,
-    Transmission,
+    LinkTable,
     link_table,
     resolve_slot,
 )
@@ -48,8 +50,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Placement:
     """Random vehicle placement: uniform in ``area`` (defaults to the zone at
-    the grid origin), positions at least min_separation apart, resampled until
-    the comm graph is connected when ``connected`` is set."""
+    the grid origin), positions at least min_separation apart and, when
+    ``connected`` is set, each within comm range of an earlier one."""
 
     count: int
     area: Optional[tuple[float, float, float, float]] = None
@@ -125,30 +127,19 @@ class RunMetrics:
     latency_ms: float
     tx_slots: dict[int, int]
     rx_slots: dict[int, int]
-    final_matrix: SensingMatrix
+    final_matrix: SensingMatrix  # the first listed vehicle's, converged or not
     trace: list[str] = field(default_factory=list)
-
-
-def _is_connected(points: np.ndarray, comm_range: float) -> bool:
-    n = len(points)
-    if n <= 1:
-        return True
-    dx = points[:, 0][:, None] - points[:, 0][None, :]
-    dy = points[:, 1][:, None] - points[:, 1][None, :]
-    adjacent = np.hypot(dx, dy) <= comm_range
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adjacent[i] & ~seen)[0]:
-            seen[j] = True
-            stack.append(j)
-    return bool(seen.all())
 
 
 # Points drawn per placement attempt; a larger count can never be placed.
 _DRAWS_PER_ATTEMPT = 20_000
+
+# The largest least distance among n = 2..9 points in a unit square: the
+# solved cases of spreading points in a square (Schaer, Meir, Graham; 1965).
+_SPREAD = (
+    math.sqrt(2), math.sqrt(6) - math.sqrt(2), 1.0, math.sqrt(2) / 2,
+    math.sqrt(13) / 6, 4 - 2 * math.sqrt(3), (math.sqrt(6) - math.sqrt(2)) / 2, 0.5,
+)
 
 
 def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
@@ -180,6 +171,15 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
                 f"placement.min_separation {p.min_separation} m exceeds the "
                 f"diagonal of {(x0, y0, x1, y1)}; no two vehicles fit"
             )
+        if p.count <= len(_SPREAD) + 1:
+            # The area fits in a square on its longer side. The slack keeps
+            # float rounding from rejecting a layout at the optimum.
+            spread = _SPREAD[p.count - 2] * max(x1 - x0, y1 - y0) * (1 + 1e-9)
+            if s > spread:
+                raise ConfigError(
+                    f"placement.min_separation {s} m exceeds {spread:.6g} m, the "
+                    f"most {p.count} vehicles in {(x0, y0, x1, y1)} can be spread"
+                )
         if p.min_separation > 0:
             # Disc-packing bound: points pairwise >= s apart carry disjoint
             # discs of radius s/2 inside the area grown by s on each side.
@@ -206,11 +206,8 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
                 if gap < s or (p.connected and gap > reach):
                     continue
             pts.append((x, y))
-        if len(pts) < p.count:
-            continue
-        if p.connected and not _is_connected(np.array(pts), cfg.channel.comm_range):
-            continue
-        return tuple((i + 1, pos) for i, pos in enumerate(pts))
+        if len(pts) == p.count:
+            return tuple((i + 1, pos) for i, pos in enumerate(pts))
     raise ConfigError(
         f"could not place {p.count} vehicles (min separation "
         f"{p.min_separation} m, connected={p.connected}) in {(x0, y0, x1, y1)}"
@@ -248,57 +245,119 @@ def build_world(
     return zones.pop(), vehicles, world
 
 
-def _init_states(cfg: ScenarioConfig) -> list[VehicleState]:
+# A MAC takes the run's config, vehicles and link table. It returns its slot
+# step, which sends and delivers one slot and returns whether anyone sent and
+# the slot's trace line, and the run's latency given the run's last slot.
+Step = Callable[[int], tuple[bool, str]]
+Policy = tuple[Step, Callable[[int], float]]
+Mac = Callable[[ScenarioConfig, list[VehicleState], LinkTable], Policy]
+
+
+def _simulate(cfg: ScenarioConfig, mac: Mac) -> RunMetrics:
+    """The slot loop both MACs share. A slot is silent only when nobody is
+    armed, and it arms nobody, so the first silent slot ends the run:
+    converged if every matrix is identical, else provably stalled."""
     _, vehicles, world = build_world(cfg)
-    states = [
-        init_vehicle(vid, pos, world, cfg.grid, cfg.sensing_range)
-        for vid, pos in vehicles
-    ]
+    states = [init_vehicle(vid, pos, world, cfg.grid, cfg.sensing_range) for vid, pos in vehicles]
     if cfg.initiators is not None:
         chosen = set(cfg.initiators)
         for s in states:
             s.pending_tx = s.id in chosen
-    return states
-
-
-def _default_max_slots(cfg: ScenarioConfig, count: int) -> int:
-    if cfg.max_slots is not None:
-        return cfg.max_slots
-    return min(10 * count, MAX_SLOTS_CAP)
-
-
-def _slot_line(slot: int, txs: list[Transmission], outcomes: dict[int, Outcome]) -> str:
-    senders = ",".join(str(t.sender) for t in txs) or "-"
-    parts = []
-    for rid in sorted(outcomes):
-        o = outcomes[rid]
-        if o.kind == DELIVERED:
-            parts.append(f"{rid}:D{o.packet.sender}")
-        elif o.kind == COLLISION:
-            parts.append(f"{rid}:C")
-        else:
-            parts.append(f"{rid}:S")
-    return f"slot {slot} | tx {senders} | {' '.join(parts)}"
-
-
-def _metrics(
-    states: list[VehicleState],
-    converged: bool,
-    last_tx: int,
-    quiescent: int,
-    latency_ms: float,
-    trace: list[str],
-) -> RunMetrics:
+    stations = [(s.id, s.position) for s in states]
+    step, latency = mac(cfg, states, link_table(stations, stations, cfg.channel))
+    max_slots = cfg.max_slots or min(10 * len(states), MAX_SLOTS_CAP)
+    trace: list[str] = []
+    converged = is_globally_converged(states, last_slot_had_tx=False)
+    slot = last_tx = 0
+    while not converged and slot < max_slots:
+        slot += 1
+        sent, line = step(slot)
+        trace.append(line)
+        if not sent:
+            converged = is_globally_converged(states, last_slot_had_tx=False)
+            break
+        last_tx = slot
     return RunMetrics(
         converged=converged,
         last_tx_slot=last_tx,
-        quiescent_slot=quiescent,
-        latency_ms=latency_ms,
+        quiescent_slot=slot,
+        latency_ms=latency(slot),
         tx_slots={s.id: s.tx_slots for s in states},
         rx_slots={s.id: s.rx_slots for s in states},
         final_matrix=states[0].matrix.copy(),
         trace=trace,
     )
+
+
+def _slotted(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Policy:
+    """Synchronized slots: every armed vehicle sends and resolve_slot decides
+    what each receiver hears. Latency is quiescent_slot * slot_duration_ms."""
+    stations = [(s.id, s.position) for s in states]
+    by_id = sorted(states, key=lambda s: s.id)  # trace entries go by receiver id
+
+    def step(slot: int) -> tuple[bool, str]:
+        txs = [t for t in map(on_slot_begin, states) if t is not None]
+        outcomes = resolve_slot(txs, stations, cfg.channel, table)
+        parts = []
+        for s in by_id:
+            o = outcomes[s.id]
+            if o.kind == DELIVERED:
+                on_delivery(s, o.packet)
+                parts.append(f"{s.id}:D{o.packet.sender}")
+            else:
+                parts.append(f"{s.id}:C" if o.kind == COLLISION else f"{s.id}:S")
+        senders = ",".join(str(t.sender) for t in txs) or "-"
+        return bool(txs), f"slot {slot} | tx {senders} | {' '.join(parts)}"
+
+    return step, lambda slot: slot * cfg.slot_duration_ms
+
+
+def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Policy:
+    """Contention rounds; see run_baseline."""
+    rng = np.random.default_rng([cfg.seed, 0x5DEECE66])
+    cw = {s.id: cfg.csma.cw_min for s in states}
+    micro_ms = cfg.csma.micro_slot_us / 1000.0
+    row = table.rows  # row/column k: states[k]
+    near = table.in_range.tolist()  # the same mask, for fast scalar lookups
+    elapsed = 0.0
+
+    def step(rnd: int) -> tuple[bool, str]:
+        nonlocal elapsed
+        contenders = [s for s in states if s.pending_tx]
+        if not contenders:
+            elapsed += cfg.slot_duration_ms
+            return False, f"round {rnd} | tx - | idle"
+        draws = {s.id: int(rng.integers(0, cw[s.id])) for s in contenders}
+        transmitters: list[VehicleState] = []
+        for s in sorted(contenders, key=lambda s: (draws[s.id], s.id)):
+            reach = near[row[s.id]]
+            if not any(draws[t.id] < draws[s.id] and reach[row[t.id]] for t in transmitters):
+                transmitters.append(s)
+        txs = [on_slot_begin(s) for s in transmitters]
+        tx_ids = {s.id for s in transmitters}
+        # Per station, the transmitters in range (a station is never in
+        # its own range) and the first of them.
+        hears = table.in_range[:, [row[s.id] for s in transmitters]]
+        heard = hears.sum(axis=1).tolist()
+        first = hears.argmax(axis=1).tolist()
+        for s in transmitters:
+            collided = heard[row[s.id]] > 0  # another transmitter in range
+            cw[s.id] = min(cw[s.id] * 2, cfg.csma.cw_max) if collided else cfg.csma.cw_min
+            s.pending_tx = collided  # retry after a collision
+        delivered_to = []
+        for s, n, k in zip(states, heard, first):
+            if s.id in tx_ids:
+                continue
+            if n == 1:
+                on_delivery(s, txs[k].packet)
+                delivered_to.append(f"{s.id}:D{txs[k].sender}")
+            elif n > 1:
+                delivered_to.append(f"{s.id}:C")
+        elapsed += cfg.slot_duration_ms + min(draws[s.id] for s in transmitters) * micro_ms
+        senders = ",".join(str(s.id) for s in transmitters)
+        return True, f"round {rnd} | tx {senders} | {' '.join(delivered_to) or '-'}"
+
+    return step, lambda rounds: elapsed
 
 
 def run(cfg: ScenarioConfig) -> RunMetrics:
@@ -310,38 +369,7 @@ def run(cfg: ScenarioConfig) -> RunMetrics:
     """
     if cfg.mac_mode == "csma":
         return run_baseline(cfg)
-    states = _init_states(cfg)
-    max_slots = _default_max_slots(cfg, len(states))
-    receivers = [(s.id, s.position) for s in states]
-    table = link_table(receivers, receivers, cfg.channel)
-    trace: list[str] = []
-    last_tx = 0
-    converged = is_globally_converged(states, last_slot_had_tx=False)
-    quiescent = 0
-    if not converged:
-        for slot in range(1, max_slots + 1):
-            txs = []
-            for s in states:
-                t = on_slot_begin(s)
-                if t is not None:
-                    txs.append(t)
-            outcomes = resolve_slot(txs, receivers, cfg.channel, table)
-            for s in states:
-                o = outcomes[s.id]
-                if o.kind == DELIVERED:
-                    on_delivery(s, o.packet)
-            if txs:
-                last_tx = slot
-            trace.append(_slot_line(slot, txs, outcomes))
-            quiescent = slot
-            if is_globally_converged(states, last_slot_had_tx=bool(txs)):
-                converged = True
-                break
-            if not txs and not any(s.pending_tx for s in states):
-                break  # silent but unequal: provably stalled
-    return _metrics(
-        states, converged, last_tx, quiescent, quiescent * cfg.slot_duration_ms, trace
-    )
+    return _simulate(cfg, _slotted)
 
 
 def run_baseline(cfg: ScenarioConfig) -> RunMetrics:
@@ -353,69 +381,7 @@ def run_baseline(cfg: ScenarioConfig) -> RunMetrics:
     double the collider's CW. A receiver decodes only a sole in-range
     transmitter. Each round costs slot_duration_ms plus the winning backoff.
     """
-    states = _init_states(cfg)
-    max_rounds = _default_max_slots(cfg, len(states))
-    rng = np.random.default_rng([cfg.seed, 0x5DEECE66])
-    cw = {s.id: cfg.csma.cw_min for s in states}
-    micro_ms = cfg.csma.micro_slot_us / 1000.0
-    stations = [(s.id, s.position) for s in states]
-    table = link_table(stations, stations, cfg.channel)  # row/column k: states[k]
-    row = table.rows
-    near = table.in_range.tolist()  # the same mask, for fast scalar lookups
-    trace: list[str] = []
-    elapsed = 0.0
-    last_tx = 0
-    converged = is_globally_converged(states, last_slot_had_tx=False)
-    quiescent = 0
-    if not converged:
-        for rnd in range(1, max_rounds + 1):
-            contenders = [s for s in states if s.pending_tx]
-            quiescent = rnd
-            if not contenders:
-                elapsed += cfg.slot_duration_ms
-                trace.append(f"round {rnd} | tx - | idle")
-                if is_globally_converged(states, last_slot_had_tx=False):
-                    converged = True
-                break  # silent round: either converged or provably stalled
-            draws = {s.id: int(rng.integers(0, cw[s.id])) for s in contenders}
-            order = sorted(contenders, key=lambda s: (draws[s.id], s.id))
-            transmitters: list[VehicleState] = []
-            for s in order:
-                blocked = any(
-                    draws[t.id] < draws[s.id] and near[row[s.id]][row[t.id]]
-                    for t in transmitters
-                )
-                if not blocked:
-                    transmitters.append(s)
-            txs = [on_slot_begin(s) for s in transmitters]
-            tx_ids = {s.id for s in transmitters}
-            # Per station, the transmitters in range (a station is never in
-            # its own range) and the first of them.
-            hears = table.in_range[:, [row[s.id] for s in transmitters]]
-            heard = hears.sum(axis=1).tolist()
-            first = hears.argmax(axis=1).tolist()
-            for s in transmitters:
-                if heard[row[s.id]]:  # another transmitter in range: a collision
-                    cw[s.id] = min(cw[s.id] * 2, cfg.csma.cw_max)
-                    s.pending_tx = True  # retry after the collision
-                else:
-                    cw[s.id] = cfg.csma.cw_min
-            delivered_to = []
-            for s, n, k in zip(states, heard, first):
-                if s.id in tx_ids:
-                    continue
-                if n == 1:
-                    on_delivery(s, txs[k].packet)
-                    delivered_to.append(f"{s.id}:D{txs[k].sender}")
-                elif n > 1:
-                    delivered_to.append(f"{s.id}:C")
-            last_tx = rnd
-            elapsed += cfg.slot_duration_ms + min(draws[s.id] for s in transmitters) * micro_ms
-            trace.append(
-                f"round {rnd} | tx {','.join(str(s.id) for s in transmitters)} | "
-                + (" ".join(delivered_to) or "-")
-            )
-    return _metrics(states, converged, last_tx, quiescent, elapsed, trace)
+    return _simulate(cfg, _csma)
 
 
 def sweep(

@@ -66,7 +66,7 @@ def on_slot_begin(v: VehicleState) -> Optional[Transmission]:
     return Transmission(v.id, v.position, pkt)
 
 
-def on_delivery(v: VehicleState, pkt: Packet) -> VehicleState:
+def on_delivery(v: VehicleState, pkt: Packet) -> None:
     """Merge a delivered packet into the vehicle's matrix.
 
     Cross-zone packets are dropped after counting the reception; malformed
@@ -75,15 +75,14 @@ def on_delivery(v: VehicleState, pkt: Packet) -> VehicleState:
     """
     v.rx_slots += 1
     if pkt.zone != v.matrix.zone:
-        return v
+        return
     try:
         received = decode(pkt.payload, pkt.zone, v.matrix.m, v.matrix.n)
     except PayloadSizeError:
         v.protocol_errors += 1
-        return v
+        return
     v.matrix, changed = aggregate(v.matrix, received)
     v.pending_tx = v.pending_tx or changed
-    return v
 
 
 def is_globally_converged(all_states: list[VehicleState], last_slot_had_tx: bool) -> bool:

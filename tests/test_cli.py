@@ -98,6 +98,18 @@ def test_run_unplaceable_vehicle_count_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_unspreadable_placement_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "spread.scenario"
+    path.write_text(
+        "placement: {count: 3, area: [0, 0, 10, 10], min_separation: 14, connected: false}\n"
+    )
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "placement.min_separation" in err
+    assert "Traceback" not in err
+
+
 def test_run_stalled_scenario_exits_two(tmp_path, capsys):
     cfg = ScenarioConfig(
         channel=ChannelConfig(comm_range=20.0, capture_threshold=0.0, path_loss_exponent=2.0),

@@ -369,6 +369,50 @@ def test_separation_beyond_the_area_diagonal_fails_before_drawing(monkeypatch):
         build_world(cfg)
 
 
+def test_separation_no_spread_of_the_count_reaches_fails_before_drawing(monkeypatch):
+    # Three points pairwise 14 m apart do not fit in a 10 m square (the best
+    # spread is 10 * (sqrt(6) - sqrt(2)) = 10.35 m), although the diagonal
+    # and the disc-packing bound allow it.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("placement drew points")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    cfg = ScenarioConfig(
+        placement=Placement(3, area=(0.0, 0.0, 10.0, 10.0), min_separation=14.0, connected=False)
+    )
+    with pytest.raises(ConfigError, match="spread"):
+        build_world(cfg)
+
+
+def _optimal_spreads(side):
+    """The best-spread layouts of 2, 3, 4, 5 and 9 points in a square."""
+    t = (2 - math.sqrt(3)) * side
+    h = side / 2
+    yield [(0.0, 0.0), (side, side)]
+    yield [(0.0, 0.0), (side, t), (t, side)]
+    yield [(0.0, 0.0), (side, 0.0), (0.0, side), (side, side)]
+    yield [(0.0, 0.0), (side, 0.0), (0.0, side), (side, side), (h, h)]
+    yield [(x, y) for x in (0.0, h, side) for y in (0.0, h, side)]
+
+
+@pytest.mark.parametrize("side", [10.0, 2.0**-1060, 2.0**1000])
+def test_separation_of_an_optimal_spread_goes_on_to_draw(monkeypatch, side):
+    # A separation that a best-spread layout reaches is feasible, so the
+    # up-front checks must let it through to the draws.
+    class Drew(Exception):
+        pass
+
+    def drew(*args, **kwargs):
+        raise Drew
+
+    monkeypatch.setattr(np.random, "default_rng", drew)
+    for pts in _optimal_spreads(side):
+        gap = min(math.dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :])
+        placement = Placement(len(pts), (0.0, 0.0, side, side), gap, connected=False)
+        with pytest.raises(Drew):
+            build_world(ScenarioConfig(placement=placement))
+
+
 def test_empty_vehicle_list_is_a_config_error():
     with pytest.raises(ConfigError, match="at least one vehicle"):
         build_world(ScenarioConfig(vehicles=()))

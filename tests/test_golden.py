@@ -21,6 +21,8 @@ from zonecast import (
     RunMetrics,
     ScenarioConfig,
     build_world,
+    bundled_scenario,
+    load_scenario,
     perceive,
     run,
 )
@@ -93,6 +95,50 @@ def test_equidistant_zero_margin_run_matches_golden_digest(mac):
     assert run_digest(m) == EQUIDISTANT_DIGESTS[mac]
     if mac == "l3":
         assert m.trace[0] == "slot 1 | tx 2,3 | 1:D2 2:S 3:S 4:D2 5:D2 6:D3"
+
+
+LINE3 = load_scenario(bundled_scenario("fig5_line3"))
+
+# Edge cases of the slot loop, each run under both MACs:
+# - "shuffled": explicit vehicles listed out of id order. Slotted trace
+#   entries stay sorted by receiver id, CSMA ones follow the list, and
+#   final_matrix is the first listed vehicle's (vehicle 4; the l3 run stalls).
+# - "capped": max_slots stops the run before it goes silent.
+# - "alone": one vehicle with nothing uncertain is converged at slot 0.
+# - "tenth": 0.1 ms slots; the slotted latency is quiescent_slot * 0.1
+#   (0.6000000000000001 at slot 6), not a running sum (0.6).
+EDGE_CASES = {
+    "shuffled": ScenarioConfig(
+        channel=ChannelConfig(comm_range=25.0, capture_threshold=0.0),
+        sensing_range=20.0,
+        vehicles=(
+            (4, (82.5, 47.5)),
+            (2, (47.5, 47.5)),
+            (5, (62.5, 62.5)),
+            (1, (32.5, 47.5)),
+            (3, (62.5, 47.5)),
+        ),
+    ),
+    "capped": replace(LINE3, max_slots=2),
+    "alone": ScenarioConfig(vehicles=((1, (50.0, 50.0)),)),
+    "tenth": replace(LINE3, slot_duration_ms=0.1),
+}
+EDGE_DIGESTS = {
+    ("alone", "csma"): "7ec3973f89ca8492",
+    ("alone", "l3"): "7ec3973f89ca8492",
+    ("capped", "csma"): "7317bb94c3f73a69",
+    ("capped", "l3"): "88105b8248bd39f8",
+    ("shuffled", "csma"): "26ba05acd7dd12bf",
+    ("shuffled", "l3"): "81429ead89e93c38",
+    ("tenth", "csma"): "d128d60a9fe07793",
+    ("tenth", "l3"): "a17271a75c006950",
+}
+
+
+@pytest.mark.parametrize("case,mac", sorted(EDGE_DIGESTS))
+def test_slot_loop_edge_cases_match_golden_digests(case, mac):
+    m = run(replace(EDGE_CASES[case], mac_mode=mac))
+    assert run_digest(m) == EDGE_DIGESTS[(case, mac)]
 
 
 # (vehicle count, seed) -> digest of every vehicle's perceived matrix, on the

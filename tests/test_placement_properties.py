@@ -19,12 +19,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonecast.channel import ChannelConfig
-from zonecast.engine import Placement, ScenarioConfig, _is_connected, _place_vehicles
+from zonecast.engine import Placement, ScenarioConfig, _place_vehicles
+
+
+def _is_connected(points: np.ndarray, comm_range: float) -> bool:
+    n = len(points)
+    if n <= 1:
+        return True
+    dx = points[:, 0][:, None] - points[:, 0][None, :]
+    dy = points[:, 1][:, None] - points[:, 1][None, :]
+    adjacent = np.hypot(dx, dy) <= comm_range
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        i = stack.pop()
+        for j in np.nonzero(adjacent[i] & ~seen)[0]:
+            seen[j] = True
+            stack.append(j)
+    return bool(seen.all())
 
 
 def reference_place(cfg: ScenarioConfig):
     """The drawing loop of the old placement, for inputs that pass its
-    up-front checks."""
+    up-front checks, with the N x N connectivity check it applied to every
+    connected layout."""
     p = cfg.placement
     if p.area is not None:
         x0, y0, x1, y1 = p.area

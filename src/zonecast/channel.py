@@ -7,12 +7,12 @@ listener can decode and whether the strongest rises far enough above the sum
 of the rest.
 
 Stations do not move during a run, so the link geometry is static: a
-LinkTable holds every receiver-sender power and in-range flag, built once per
-run and consulted by every slot. Its entries are filled by received_power and
-math.dist themselves, one call per unordered pair, so they are bit-identical
-to the scalar model. numpy's log10 and hypot are not: they differ in the last
-bit on a few percent of pairs, which can flip a capture decision whose margin
-is exactly 0 dB.
+LinkTable is one square table over a run's stations, holding the power and
+in-range flag of every pair, built once per run and consulted by every slot.
+Its entries are filled by received_power and math.dist themselves, one call
+per unordered pair, so they are bit-identical to the scalar model. numpy's
+log10 and hypot are not: they differ in the last bit on a few percent of
+pairs, which can flip a capture decision whose margin is exactly 0 dB.
 """
 
 from __future__ import annotations
@@ -95,50 +95,34 @@ def received_power(tx_pos: Position, rx_pos: Position, cfg: ChannelConfig) -> fl
 
 @dataclass(frozen=True, eq=False)
 class LinkTable:
-    """Static link geometry between fixed stations.
+    """Static link geometry among a run's stations, one row and column each.
 
-    ``power[rows[r], cols[s]]`` is received_power from sender s at receiver r,
-    and ``in_range[rows[r], cols[s]]`` whether they are at most comm_range
-    apart. A station's entry for itself is -inf and out of range.
+    With ``i, j = index[r], index[s]``, ``power[i, j]`` is received_power
+    between stations r and s, and ``in_range[i, j]`` whether they are at most
+    comm_range apart. A station's entry for itself is -inf and out of range.
     """
 
-    rows: dict[int, int]
-    cols: dict[int, int]
+    index: dict[int, int]
     power: np.ndarray
     in_range: np.ndarray
 
 
-def link_table(
-    receivers: list[tuple[int, Position]],
-    senders: list[tuple[int, Position]],
-    cfg: ChannelConfig,
-) -> LinkTable:
-    """Tabulate every receiver-sender link with the scalar model.
+def link_table(stations: list[tuple[int, Position]], cfg: ChannelConfig) -> LinkTable:
+    """Tabulate the link between every pair of stations with the scalar model.
 
-    When both lists are the same stations, math.dist's symmetry lets each
-    unordered pair be computed once and mirrored. Raises
-    DegenerateGeometryError for two distinct stations at one position.
+    math.dist is symmetric, so each unordered pair is computed once and
+    mirrored. Raises DegenerateGeometryError for two stations at one position.
     """
-    symmetric = receivers == senders
-    power = np.full((len(receivers), len(senders)), -np.inf)
+    power = np.full((len(stations), len(stations)), -np.inf)
     in_range = np.zeros(power.shape, dtype=bool)
-    for i, (rid, rpos) in enumerate(receivers):
-        first = i + 1 if symmetric else 0
-        others = senders[first:]
-        power[i, first:] = [
-            -math.inf if sid == rid else received_power(spos, rpos, cfg) for sid, spos in others
-        ]
-        in_range[i, first:] = [
-            sid != rid and math.dist(spos, rpos) <= cfg.comm_range for sid, spos in others
-        ]
-    if symmetric:  # fill the lower triangle from the upper one
-        power = np.fmax(power, power.T)
-        in_range = in_range | in_range.T
+    for i, (_, rpos) in enumerate(stations):
+        others = stations[i + 1 :]
+        power[i, i + 1 :] = [received_power(spos, rpos, cfg) for _, spos in others]
+        in_range[i, i + 1 :] = [math.dist(spos, rpos) <= cfg.comm_range for _, spos in others]
     return LinkTable(
-        {rid: i for i, (rid, _) in enumerate(receivers)},
-        {sid: j for j, (sid, _) in enumerate(senders)},
-        power,
-        in_range,
+        {sid: k for k, (sid, _) in enumerate(stations)},
+        np.fmax(power, power.T),
+        in_range | in_range.T,
     )
 
 
@@ -163,7 +147,9 @@ def resolve_slot(
     half-duplex and always hear silence.
 
     ``table`` must cover every receiver and sender; engines pass one built
-    per run. Without it the slot tabulates its own links.
+    per run. Without it the slot tabulates its listeners and senders with
+    link_table, so two stations at one position anywhere in the slot raise
+    DegenerateGeometryError.
     """
     senders = {t.sender for t in txs}
     if len(senders) != len(txs):
@@ -173,7 +159,7 @@ def resolve_slot(
     if not txs or not listeners:
         return outcomes
     if table is None:
-        table = link_table(listeners, [(t.sender, t.sender_pos) for t in txs], cfg)
+        table = link_table(listeners + [(t.sender, t.sender_pos) for t in txs], cfg)
 
     groups: dict[tuple[ZoneIndex, bytes], list[Transmission]] = {}
     for t in sorted(txs, key=lambda t: t.sender):
@@ -184,7 +170,7 @@ def resolve_slot(
     members = [t for g in groups.values() for t in g]
     sizes = [len(g) for g in groups.values()]
     starts = list(accumulate(sizes[:-1], initial=0))
-    cols = [table.cols[t.sender] for t in members]
+    cols = [table.index[t.sender] for t in members]
     power = table.power[:, cols]
     reach = table.in_range[:, cols]
     if len(groups) == len(members):
@@ -204,7 +190,7 @@ def resolve_slot(
     for k, p, w in zip(hits[0].tolist(), best[hits].tolist(), winners.tolist()):
         heard.setdefault(k, []).append((p, w))
     for rid, _ in listeners:
-        groups_heard = heard.get(table.rows[rid])
+        groups_heard = heard.get(table.index[rid])
         if groups_heard is None:
             continue
         if len(groups_heard) == 1:

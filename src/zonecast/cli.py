@@ -45,16 +45,12 @@ def cmd_run(
     trace: bool = False,
     mac: Optional[str] = None,
 ) -> int:
-    try:
-        cfg = load_scenario(scenario_path)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if mac is not None:
-            cfg = replace(cfg, mac_mode=mac)
-        metrics = run(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_scenario(scenario_path)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    if mac is not None:
+        cfg = replace(cfg, mac_mode=mac)
+    metrics = run(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_metrics(out, cfg, metrics)
@@ -76,48 +72,38 @@ def cmd_sweep(
     mac: str = "l3",
     scenario_path: Optional[str] = None,
 ) -> int:
-    try:
-        if preset is not None:
-            chosen = PRESETS[preset]
-            base, sweep_counts, macs = chosen.base, list(chosen.counts), chosen.macs
-            sweep_trials = trials if trials is not None else chosen.trials
-        else:
-            if not counts:
-                print("error: sweep needs --preset or a non-empty --counts", file=sys.stderr)
-                return 1
-            base = load_scenario(scenario_path) if scenario_path else ScenarioConfig()
-            sweep_counts, macs = counts, (mac,)
-            sweep_trials = trials if trials is not None else 20
-        master_seed = seed if seed is not None else base.seed
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        all_converged = True
-        for mode in macs:
-            rows = sweep(replace(base, mac_mode=mode), sweep_counts, sweep_trials, master_seed)
-            all_converged &= all(r["converged"] for r in rows)
-            name = "sweep.csv" if len(macs) == 1 else f"sweep_{mode}.csv"
-            (out / name).write_text(sweep_csv(rows))
-            print(f"wrote {out / name} ({len(rows)} runs)")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if preset is not None:
+        chosen = PRESETS[preset]
+        base, sweep_counts, macs = chosen.base, list(chosen.counts), chosen.macs
+        sweep_trials = trials if trials is not None else chosen.trials
+    elif not counts:
+        raise ConfigError("sweep needs --preset or a non-empty --counts")
+    else:
+        base = load_scenario(scenario_path) if scenario_path else ScenarioConfig()
+        sweep_counts, macs = counts, (mac,)
+        sweep_trials = trials if trials is not None else 20
+    master_seed = seed if seed is not None else base.seed
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    all_converged = True
+    for mode in macs:
+        rows = sweep(replace(base, mac_mode=mode), sweep_counts, sweep_trials, master_seed)
+        all_converged &= all(r["converged"] for r in rows)
+        name = "sweep.csv" if len(macs) == 1 else f"sweep_{mode}.csv"
+        (out / name).write_text(sweep_csv(rows))
+        print(f"wrote {out / name} ({len(rows)} runs)")
     return 0 if all_converged else 2
 
 
 def cmd_dump_matrix(scenario_path: str, vehicle_id: int) -> int:
-    try:
-        cfg = load_scenario(scenario_path)
-        _, vehicles, world = build_world(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_scenario(scenario_path)
+    _, vehicles, world = build_world(cfg)
     for vid, pos in vehicles:
         if vid == vehicle_id:
             state = init_vehicle(vid, pos, world, cfg.grid, cfg.sensing_range)
             print(format_matrix(state.matrix))
             return 0
-    print(f"error: no vehicle with id {vehicle_id}", file=sys.stderr)
-    return 1
+    raise ConfigError(f"no vehicle with id {vehicle_id}")
 
 
 def _parse_counts(text: str) -> list[int]:
@@ -161,13 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.scenario, args.out, args.seed, args.trace, args.mac)
-    if args.command == "sweep":
-        return cmd_sweep(
-            args.out, args.preset, args.counts, args.trials, args.seed, args.mac, args.scenario
-        )
-    return cmd_dump_matrix(args.scenario, args.vehicle)
+    try:
+        if args.command == "run":
+            return cmd_run(args.scenario, args.out, args.seed, args.trace, args.mac)
+        if args.command == "sweep":
+            return cmd_sweep(
+                args.out, args.preset, args.counts, args.trials, args.seed, args.mac, args.scenario
+            )
+        return cmd_dump_matrix(args.scenario, args.vehicle)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -181,10 +181,13 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
                     f"most {p.count} vehicles in {(x0, y0, x1, y1)} can be spread"
                 )
         if p.min_separation > 0:
-            # Disc-packing bound: points pairwise >= s apart carry disjoint
-            # discs of radius s/2 inside the area grown by s on each side.
-            # Dividing by s twice, not by s*s, which underflows to 0.
-            capacity = (x1 - x0 + s) / s * (y1 - y0 + s) / s * 4 / math.pi
+            # Oler's inequality (Acta Math. 105, 1961): at most 2/sqrt(3)*A +
+            # P/2 + 1 points pairwise >= 1 apart fit in a convex region of
+            # area A and perimeter P. Dividing by s twice, not by s*s, which
+            # underflows to 0. The bound is tight for a line of points along
+            # a thin strip, where the slack keeps rounding from rejecting it.
+            w, h = (x1 - x0) / s, (y1 - y0) / s
+            capacity = (2 / math.sqrt(3) * w * h + w + h + 1) * (1 + 1e-9)
             if p.count > capacity:
                 raise ConfigError(
                     f"cannot fit {p.count} vehicles {s} m apart in "
@@ -264,17 +267,17 @@ def _simulate(cfg: ScenarioConfig, mac: Mac) -> RunMetrics:
         for s in states:
             s.pending_tx = s.id in chosen
     stations = [(s.id, s.position) for s in states]
-    step, latency = mac(cfg, states, link_table(stations, stations, cfg.channel))
+    step, latency = mac(cfg, states, link_table(stations, cfg.channel))
     max_slots = cfg.max_slots or min(10 * len(states), MAX_SLOTS_CAP)
     trace: list[str] = []
-    converged = is_globally_converged(states, last_slot_had_tx=False)
+    converged = is_globally_converged(states)
     slot = last_tx = 0
     while not converged and slot < max_slots:
         slot += 1
         sent, line = step(slot)
         trace.append(line)
         if not sent:
-            converged = is_globally_converged(states, last_slot_had_tx=False)
+            converged = is_globally_converged(states)
             break
         last_tx = slot
     return RunMetrics(
@@ -313,48 +316,48 @@ def _slotted(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) 
 
 
 def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Policy:
-    """Contention rounds; see run_baseline."""
+    """Contention rounds; see run_baseline. Station k is states[k] and row k
+    of the table."""
     rng = np.random.default_rng([cfg.seed, 0x5DEECE66])
-    cw = {s.id: cfg.csma.cw_min for s in states}
+    cw = [cfg.csma.cw_min] * len(states)
     micro_ms = cfg.csma.micro_slot_us / 1000.0
-    row = table.rows  # row/column k: states[k]
     near = table.in_range.tolist()  # the same mask, for fast scalar lookups
     elapsed = 0.0
 
     def step(rnd: int) -> tuple[bool, str]:
         nonlocal elapsed
-        contenders = [s for s in states if s.pending_tx]
-        if not contenders:
+        armed = [k for k, s in enumerate(states) if s.pending_tx]
+        if not armed:
             elapsed += cfg.slot_duration_ms
             return False, f"round {rnd} | tx - | idle"
-        draws = {s.id: int(rng.integers(0, cw[s.id])) for s in contenders}
-        transmitters: list[VehicleState] = []
-        for s in sorted(contenders, key=lambda s: (draws[s.id], s.id)):
-            reach = near[row[s.id]]
-            if not any(draws[t.id] < draws[s.id] and reach[row[t.id]] for t in transmitters):
-                transmitters.append(s)
-        txs = [on_slot_begin(s) for s in transmitters]
-        tx_ids = {s.id for s in transmitters}
+        # One draw per armed station, in states order; contend by (draw, id).
+        order = sorted((int(rng.integers(0, cw[k])), states[k].id, k) for k in armed)
+        sent: list[int] = []
+        for _, level in itertools.groupby(order, key=lambda o: o[0]):
+            # Carrier sense defers to an in-range station with a lower draw,
+            # i.e. one sent at an earlier level: `sent` grows only after the
+            # whole level has sensed it.
+            sent += [k for _, _, k in level if not any(map(near[k].__getitem__, sent))]
+        txs = [on_slot_begin(states[k]) for k in sent]
         # Per station, the transmitters in range (a station is never in
         # its own range) and the first of them.
-        hears = table.in_range[:, [row[s.id] for s in transmitters]]
+        hears = table.in_range[:, sent]
         heard = hears.sum(axis=1).tolist()
         first = hears.argmax(axis=1).tolist()
-        for s in transmitters:
-            collided = heard[row[s.id]] > 0  # another transmitter in range
-            cw[s.id] = min(cw[s.id] * 2, cfg.csma.cw_max) if collided else cfg.csma.cw_min
-            s.pending_tx = collided  # retry after a collision
+        for k in sent:
+            collided = heard[k] > 0  # another transmitter in range
+            cw[k] = min(cw[k] * 2, cfg.csma.cw_max) if collided else cfg.csma.cw_min
+            states[k].pending_tx = collided  # retry after a collision
+            heard[k] = 0  # half-duplex: a transmitter hears nothing
         delivered_to = []
-        for s, n, k in zip(states, heard, first):
-            if s.id in tx_ids:
-                continue
+        for s, n, j in zip(states, heard, first):
             if n == 1:
-                on_delivery(s, txs[k].packet)
-                delivered_to.append(f"{s.id}:D{txs[k].sender}")
+                on_delivery(s, txs[j].packet)
+                delivered_to.append(f"{s.id}:D{txs[j].sender}")
             elif n > 1:
                 delivered_to.append(f"{s.id}:C")
-        elapsed += cfg.slot_duration_ms + min(draws[s.id] for s in transmitters) * micro_ms
-        senders = ",".join(str(s.id) for s in transmitters)
+        elapsed += cfg.slot_duration_ms + order[0][0] * micro_ms  # the first sender's draw
+        senders = ",".join(str(t.sender) for t in txs)
         return True, f"round {rnd} | tx {senders} | {' '.join(delivered_to) or '-'}"
 
     return step, lambda rounds: elapsed

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .channel import Packet, Transmission
 from .grid import GridConfig, Position, locate_zone
 from .sensing import (
@@ -85,13 +83,10 @@ def on_delivery(v: VehicleState, pkt: Packet) -> None:
     v.pending_tx = v.pending_tx or changed
 
 
-def is_globally_converged(all_states: list[VehicleState], last_slot_had_tx: bool) -> bool:
-    """Omniscient-observer convergence: nobody pending, the last slot was
-    silent, and every vehicle holds the byte-identical matrix."""
-    if last_slot_had_tx or any(v.pending_tx for v in all_states):
+def is_globally_converged(all_states: list[VehicleState]) -> bool:
+    """Omniscient-observer convergence: nobody pending and every vehicle
+    holds the byte-identical matrix."""
+    if any(v.pending_tx for v in all_states):
         return False
     first = all_states[0].matrix
-    return all(
-        v.matrix.zone == first.zone and np.array_equal(v.matrix.cells, first.cells)
-        for v in all_states[1:]
-    )
+    return all(v.matrix == first for v in all_states[1:])

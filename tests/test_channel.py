@@ -146,6 +146,18 @@ def test_duplicate_sender_rejected():
         resolve_slot([tx(2, (10, 0)), tx(2, (20, 0))], [(1, (0, 0))], CFG)
 
 
+def test_listener_at_a_sender_position_is_degenerate():
+    with pytest.raises(DegenerateGeometryError):
+        resolve_slot([tx(2, (10, 0))], [(1, (10, 0))], CFG)
+
+
+def test_colocated_listeners_are_degenerate():
+    # Without a table the slot tabulates every station it names, so two
+    # listeners at one position raise even though neither is a sender.
+    with pytest.raises(DegenerateGeometryError):
+        resolve_slot([tx(2, (10, 0))], [(1, (0, 0)), (3, (0, 0))], CFG)
+
+
 def test_determinism_same_slot_same_outcome():
     txs = [tx(2, (10, 1), b"\x02" * 100), tx(3, (-9, 3), b"\x03" * 100)]
     receivers = [(1, (0, 0)), (4, (30, 30))]

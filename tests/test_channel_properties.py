@@ -100,7 +100,7 @@ def test_resolve_slot_matches_pairwise_reference(slot):
     stations, txs, receivers, cfg = slot
     want = reference(txs, receivers, cfg)
     assert as_pairs(resolve_slot(txs, receivers, cfg)) == want
-    table = link_table(stations, stations, cfg)
+    table = link_table(stations, cfg)
     got = resolve_slot(txs, receivers, cfg, table)
     assert as_pairs(got) == want
     assert list(got) == [rid for rid, _ in receivers]
@@ -116,10 +116,10 @@ def test_resolve_slot_matches_pairwise_reference(slot):
 def test_link_table_is_bit_identical_to_the_scalar_model(points, comm_range):
     stations = list(enumerate(points, start=1))
     cfg = ChannelConfig(comm_range=comm_range, path_loss_exponent=3.0)
-    table = link_table(stations, stations, cfg)
+    table = link_table(stations, cfg)
     for rid, rpos in stations:
         for sid, spos in stations:
-            i, j = table.rows[rid], table.cols[sid]
+            i, j = table.index[rid], table.index[sid]
             if rid == sid:
                 assert table.power[i, j] == -math.inf and not table.in_range[i, j]
             else:

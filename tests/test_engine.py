@@ -384,6 +384,36 @@ def test_separation_no_spread_of_the_count_reaches_fails_before_drawing(monkeypa
         build_world(cfg)
 
 
+def test_more_vehicles_than_olers_bound_fail_before_drawing(monkeypatch):
+    # Oler's inequality allows at most 11 points pairwise 4.5 m apart in a
+    # 10 m square; the retry loop would otherwise spend 4M draws.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("placement drew points")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    cfg = ScenarioConfig(
+        placement=Placement(12, area=(0.0, 0.0, 10.0, 10.0), min_separation=4.5, connected=False)
+    )
+    with pytest.raises(ConfigError, match="capacity bound"):
+        build_world(cfg)
+
+
+@pytest.mark.parametrize("s", [10.0, 2.0**-1060, 2.0**1000])
+def test_a_line_along_a_thin_strip_goes_on_to_draw(monkeypatch, s):
+    # Three points s apart fit on the long side of a 2s x s/1000 strip, where
+    # Oler's bound is nearly tight.
+    class Drew(Exception):
+        pass
+
+    def drew(*args, **kwargs):
+        raise Drew
+
+    monkeypatch.setattr(np.random, "default_rng", drew)
+    placement = Placement(3, (0.0, 0.0, 2 * s, s / 1000), s, connected=False)
+    with pytest.raises(Drew):
+        build_world(ScenarioConfig(placement=placement))
+
+
 def _optimal_spreads(side):
     """The best-spread layouts of 2, 3, 4, 5 and 9 points in a square."""
     t = (2 - math.sqrt(3)) * side

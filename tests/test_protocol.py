@@ -157,32 +157,31 @@ def test_conflicting_delivery_downgrades_to_uncertain():
 def test_convergence_requires_identical_matrices_and_silence():
     a = state([[FREE, OBJ], [FREE, FREE]], vid=1)
     b = state([[FREE, OBJ], [FREE, FREE]], vid=2)
-    assert is_globally_converged([a, b], last_slot_had_tx=False)
-    assert not is_globally_converged([a, b], last_slot_had_tx=True)
+    assert is_globally_converged([a, b])
 
 
 def test_convergence_fails_when_any_vehicle_pending():
     a = state([[FREE, FREE], [FREE, FREE]], vid=1)
     b = state([[FREE, FREE], [FREE, FREE]], pending=True, vid=2)
-    assert not is_globally_converged([a, b], last_slot_had_tx=False)
+    assert not is_globally_converged([a, b])
 
 
 def test_convergence_fails_on_cell_difference():
     a = state([[FREE, OBJ], [FREE, FREE]], vid=1)
     b = state([[FREE, FREE], [FREE, FREE]], vid=2)
-    assert not is_globally_converged([a, b], last_slot_had_tx=False)
+    assert not is_globally_converged([a, b])
 
 
 def test_convergence_fails_on_zone_mismatch():
     a = state([[FREE, FREE], [FREE, FREE]], vid=1)
     other = SensingMatrix(ZoneIndex(1, 0), np.full((2, 2), FREE, np.uint8))
     b = VehicleState(2, (12.0, 2.0), other, pending_tx=False)
-    assert not is_globally_converged([a, b], last_slot_had_tx=False)
+    assert not is_globally_converged([a, b])
 
 
 def test_single_vehicle_converges_alone():
     a = state([[FREE, FREE], [FREE, FREE]], vid=1)
-    assert is_globally_converged([a], last_slot_had_tx=False)
+    assert is_globally_converged([a])
 
 
 def test_uncertain_consensus_still_counts_as_converged():
@@ -190,4 +189,4 @@ def test_uncertain_consensus_still_counts_as_converged():
     # nobody can resolve is a legitimate terminal state.
     a = state([[UNC, FREE], [FREE, FREE]], vid=1)
     b = state([[UNC, FREE], [FREE, FREE]], vid=2)
-    assert is_globally_converged([a, b], last_slot_had_tx=False)
+    assert is_globally_converged([a, b])

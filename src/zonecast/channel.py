@@ -7,22 +7,19 @@ listener can decode and whether the strongest rises far enough above the sum
 of the rest.
 
 Stations do not move during a run, so the link geometry is static: a
-LinkTable is one square table over a run's stations, holding the power and
-in-range flag of every pair, built once per run and consulted by every slot.
-Its entries are filled by received_power and math.dist themselves, one call
-per unordered pair, so they are bit-identical to the scalar model. numpy's
-log10 and hypot are not: they differ in the last bit on a few percent of
-pairs, which can flip a capture decision whose margin is exactly 0 dB.
+LinkTable lists each station's neighbours within comm_range with their
+received powers, built once per run. Powers come from received_power itself,
+one call per in-range pair, so they are bit-identical to the scalar model.
+numpy's log10 and hypot are not: they differ in the last bit on a few percent
+of pairs, which can flip a capture decision whose margin is exactly 0 dB.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
-
-import numpy as np
 
 from .grid import Position, ZoneIndex
 
@@ -95,35 +92,29 @@ def received_power(tx_pos: Position, rx_pos: Position, cfg: ChannelConfig) -> fl
 
 @dataclass(frozen=True, eq=False)
 class LinkTable:
-    """Static link geometry among a run's stations, one row and column each.
+    """Static link geometry among a run's stations, as neighbour lists.
 
-    With ``i, j = index[r], index[s]``, ``power[i, j]`` is received_power
-    between stations r and s, and ``in_range[i, j]`` whether they are at most
-    comm_range apart. A station's entry for itself is -inf and out of range.
+    ``index`` maps a station id to its position k in the station list, and
+    ``links[k]`` maps the position j of every other station within comm_range
+    of station k to received_power between them; no other pair has an entry.
     """
 
     index: dict[int, int]
-    power: np.ndarray
-    in_range: np.ndarray
+    links: list[dict[int, float]]
 
 
 def link_table(stations: list[tuple[int, Position]], cfg: ChannelConfig) -> LinkTable:
-    """Tabulate the link between every pair of stations with the scalar model.
+    """Link every pair of stations within comm_range with the scalar model.
 
-    math.dist is symmetric, so each unordered pair is computed once and
-    mirrored. Raises DegenerateGeometryError for two stations at one position.
+    math.dist is symmetric, so each unordered pair is measured once and
+    linked both ways; received_power is called only for in-range pairs.
+    Raises DegenerateGeometryError for two stations at one position.
     """
-    power = np.full((len(stations), len(stations)), -np.inf)
-    in_range = np.zeros(power.shape, dtype=bool)
-    for i, (_, rpos) in enumerate(stations):
-        others = stations[i + 1 :]
-        power[i, i + 1 :] = [received_power(spos, rpos, cfg) for _, spos in others]
-        in_range[i, i + 1 :] = [math.dist(spos, rpos) <= cfg.comm_range for _, spos in others]
-    return LinkTable(
-        {sid: k for k, (sid, _) in enumerate(stations)},
-        np.fmax(power, power.T),
-        in_range | in_range.T,
-    )
+    links: list[dict[int, float]] = [{} for _ in stations]
+    for (i, rpos), (j, spos) in itertools.combinations(enumerate(p for _, p in stations), 2):
+        if math.dist(spos, rpos) <= cfg.comm_range:
+            links[i][j] = links[j][i] = received_power(spos, rpos, cfg)
+    return LinkTable({sid: k for k, (sid, _) in enumerate(stations)}, links)
 
 
 _SILENT = Outcome(SILENCE)
@@ -138,12 +129,14 @@ def resolve_slot(
 ) -> dict[int, Outcome]:
     """Decide what every receiver hears in one slot.
 
-    Byte-identical packets form one constructively interfering group whose
-    power at a receiver is its strongest member's power (ties go to the
-    lowest sender id). Groups with no member within comm_range are
-    inaudible. A single audible group is delivered; among several, the
-    strongest is delivered only if it exceeds the linear-scale sum of the
-    others by capture_threshold dB, else the slot is a collision. Senders are
+    Byte-identical packets form one constructively interfering group. A
+    receiver hears a group through its linked members, those within
+    comm_range, and the group's power there is its strongest linked member's
+    (ties go to the lowest sender id); a member out of range never counts,
+    even when a float tie across the range edge gives it the same power. A
+    single audible group is delivered; among several, the strongest is
+    delivered only if it exceeds the linear-scale sum of the others by
+    capture_threshold dB, else the slot is a collision. Senders are
     half-duplex and always hear silence.
 
     ``table`` must cover every receiver and sender; engines pass one built
@@ -161,47 +154,27 @@ def resolve_slot(
     if table is None:
         table = link_table(listeners + [(t.sender, t.sender_pos) for t in txs], cfg)
 
-    groups: dict[tuple[ZoneIndex, bytes], list[Transmission]] = {}
+    # Per station and audible group, the (power, transmission) of its strongest
+    # linked member; senders go by ascending id, so strict > keeps the lowest.
+    groups: dict[tuple[ZoneIndex, bytes], int] = {}
+    heard: list[dict[int, tuple[float, Transmission]]] = [{} for _ in table.links]
     for t in sorted(txs, key=lambda t: t.sender):
-        groups.setdefault((t.packet.zone, t.packet.payload), []).append(t)
-    # Columns run group by group, each group's members by ascending id, so
-    # the first column reaching a group's best power is its lowest-id member.
-    # Rows are every station of the table; listeners pick theirs by id.
-    members = [t for g in groups.values() for t in g]
-    sizes = [len(g) for g in groups.values()]
-    starts = list(accumulate(sizes[:-1], initial=0))
-    cols = [table.index[t.sender] for t in members]
-    power = table.power[:, cols]
-    reach = table.in_range[:, cols]
-    if len(groups) == len(members):
-        # One sender per group: every group reduction is the identity.
-        best, audible, winner = power, reach, None
-    else:
-        best = np.maximum.reduceat(power, starts, axis=1)
-        audible = np.logical_or.reduceat(reach, starts, axis=1)
-        is_best = power == best.repeat(sizes, axis=1)
-        winner = np.minimum.reduceat(
-            np.where(is_best, np.arange(len(members)), len(members)), starts, axis=1
-        )
-    # Per station (table row), the (power, member) of every group it hears.
-    hits = np.nonzero(audible)
-    winners = hits[1] if winner is None else winner[hits]
-    heard: dict[int, list[tuple[float, int]]] = {}
-    for k, p, w in zip(hits[0].tolist(), best[hits].tolist(), winners.tolist()):
-        heard.setdefault(k, []).append((p, w))
+        g = groups.setdefault((t.packet.zone, t.packet.payload), len(groups))
+        for k, p in table.links[table.index[t.sender]].items():
+            best = heard[k]
+            if g not in best or p > best[g][0]:
+                best[g] = (p, t)
     for rid, _ in listeners:
-        groups_heard = heard.get(table.index[rid])
-        if groups_heard is None:
+        got = heard[table.index[rid]]
+        if not got:
             continue
-        if len(groups_heard) == 1:
-            outcomes[rid] = Outcome(DELIVERED, members[groups_heard[0][1]].packet)
-            continue
-        groups_heard.sort(key=lambda item: (-item[0], members[item[1]].sender))
-        strongest, w = groups_heard[0]
-        others_linear = sum(10.0 ** (p / 10.0) for p, _ in groups_heard[1:])
-        margin = strongest - 10.0 * math.log10(others_linear)
-        if margin >= cfg.capture_threshold:
-            outcomes[rid] = Outcome(DELIVERED, members[w].packet)
+        ranked = sorted(got.values(), key=lambda pt: (-pt[0], pt[1].sender))
+        (strongest, t), others = ranked[0], ranked[1:]
+        if others:
+            others_linear = sum(10.0 ** (p / 10.0) for p, _ in others)
+            margin = strongest - 10.0 * math.log10(others_linear)
+        if not others or margin >= cfg.capture_threshold:
+            outcomes[rid] = Outcome(DELIVERED, t.packet)
         else:
             outcomes[rid] = _COLLIDED
     return outcomes

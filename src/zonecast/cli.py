@@ -69,10 +69,14 @@ def cmd_sweep(
     counts: Optional[list[int]] = None,
     trials: Optional[int] = None,
     seed: Optional[int] = None,
-    mac: str = "l3",
+    mac: Optional[str] = None,
     scenario_path: Optional[str] = None,
 ) -> int:
     if preset is not None:
+        fixed = {"--counts": counts, "--scenario": scenario_path, "--mac": mac}
+        clash = [flag for flag, value in fixed.items() if value is not None]
+        if clash:
+            raise ConfigError(f"--preset {preset} fixes {', '.join(clash)}; drop them")
         chosen = PRESETS[preset]
         base, sweep_counts, macs = chosen.base, list(chosen.counts), chosen.macs
         sweep_trials = trials if trials is not None else chosen.trials
@@ -80,7 +84,7 @@ def cmd_sweep(
         raise ConfigError("sweep needs --preset or a non-empty --counts")
     else:
         base = load_scenario(scenario_path) if scenario_path else ScenarioConfig()
-        sweep_counts, macs = counts, (mac,)
+        sweep_counts, macs = counts, (mac or "l3",)
         sweep_trials = trials if trials is not None else 20
     master_seed = seed if seed is not None else base.seed
     out = Path(out_dir)
@@ -135,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="master seed (default: the preset/base scenario seed)",
     )
-    p_sweep.add_argument("--mac", choices=("l3", "csma"), default="l3")
+    p_sweep.add_argument("--mac", choices=("l3", "csma"), help="MAC mode (default: l3)")
     p_sweep.add_argument("--scenario", default=None, help="base scenario for sweeps")
     p_sweep.add_argument("--out", default=".", help="output directory")
 

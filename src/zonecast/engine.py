@@ -316,12 +316,11 @@ def _slotted(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) 
 
 
 def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Policy:
-    """Contention rounds; see run_baseline. Station k is states[k] and row k
-    of the table."""
+    """Contention rounds; see run_baseline. Station k is states[k] and
+    table.links[k] its neighbours."""
     rng = np.random.default_rng([cfg.seed, 0x5DEECE66])
     cw = [cfg.csma.cw_min] * len(states)
     micro_ms = cfg.csma.micro_slot_us / 1000.0
-    near = table.in_range.tolist()  # the same mask, for fast scalar lookups
     elapsed = 0.0
 
     def step(rnd: int) -> tuple[bool, str]:
@@ -337,13 +336,17 @@ def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> 
             # Carrier sense defers to an in-range station with a lower draw,
             # i.e. one sent at an earlier level: `sent` grows only after the
             # whole level has sensed it.
-            sent += [k for _, _, k in level if not any(map(near[k].__getitem__, sent))]
+            sent += [k for _, _, k in level if table.links[k].keys().isdisjoint(sent)]
         txs = [on_slot_begin(states[k]) for k in sent]
-        # Per station, the transmitters in range (a station is never in
-        # its own range) and the first of them.
-        hears = table.in_range[:, sent]
-        heard = hears.sum(axis=1).tolist()
-        first = hears.argmax(axis=1).tolist()
+        # Per station, the transmitters in range (a station is never its own
+        # neighbour) and the first of them, as a position in sent.
+        heard = [0] * len(states)
+        first = [0] * len(states)
+        for j, k in enumerate(sent):
+            for r in table.links[k]:
+                if not heard[r]:
+                    first[r] = j
+                heard[r] += 1
         for k in sent:
             collided = heard[k] > 0  # another transmitter in range
             cw[k] = min(cw[k] * 2, cfg.csma.cw_max) if collided else cfg.csma.cw_min

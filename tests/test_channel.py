@@ -127,6 +127,22 @@ def test_out_of_range_transmissions_neither_deliver_nor_interfere():
     assert out[1].kind == SILENCE
 
 
+def test_group_power_counts_only_in_range_members():
+    # Sender 1 sits one ulp past the 20 m range edge, yet its power rounds to
+    # the same -39.03 dB as sender 2's at exactly 20 m. The group is heard
+    # only through sender 2, so the frame delivered is sender 2's.
+    edge = ChannelConfig(comm_range=20.0, path_loss_exponent=3.0)
+    payload = b"\x2a" * 100
+    far = tx(1, (0.0, math.nextafter(20.0, math.inf)), payload)
+    near = tx(2, (20.0, 0.0), payload)
+    assert received_power(far.sender_pos, (0, 0), edge) == received_power(
+        near.sender_pos, (0, 0), edge
+    )
+    out = resolve_slot([far, near], [(3, (0.0, 0.0))], edge)
+    assert out[3].kind == DELIVERED and out[3].packet.sender == 2
+    assert resolve_slot([far], [(3, (0.0, 0.0))], edge)[3].kind == SILENCE
+
+
 def test_zero_threshold_delivers_any_strictly_stronger_frame():
     lax = ChannelConfig(capture_threshold=0.0)
     txs = [tx(2, (10, 0), b"\x02" * 100), tx(3, (10.5, 0.0001), b"\x03" * 100)]

@@ -41,11 +41,10 @@ def reference(txs, receivers, cfg):
             continue
         audible = []
         for members in groups.values():
-            if all(math.dist(t.sender_pos, rpos) > cfg.comm_range for t in members):
+            near = [t for t in members if math.dist(t.sender_pos, rpos) <= cfg.comm_range]
+            if not near:
                 continue
-            best = max(
-                members, key=lambda t: (received_power(t.sender_pos, rpos, cfg), -t.sender)
-            )
+            best = max(near, key=lambda t: (received_power(t.sender_pos, rpos, cfg), -t.sender))
             audible.append((received_power(best.sender_pos, rpos, cfg), best.sender, best.packet))
         if not audible:
             out[rid] = (SILENCE, None)
@@ -118,10 +117,10 @@ def test_link_table_is_bit_identical_to_the_scalar_model(points, comm_range):
     cfg = ChannelConfig(comm_range=comm_range, path_loss_exponent=3.0)
     table = link_table(stations, cfg)
     for rid, rpos in stations:
+        links = table.links[table.index[rid]]
         for sid, spos in stations:
-            i, j = table.index[rid], table.index[sid]
-            if rid == sid:
-                assert table.power[i, j] == -math.inf and not table.in_range[i, j]
+            j = table.index[sid]
+            if rid != sid and math.dist(spos, rpos) <= comm_range:
+                assert links[j] == received_power(spos, rpos, cfg)
             else:
-                assert table.power[i, j] == received_power(spos, rpos, cfg)
-                assert table.in_range[i, j] == (math.dist(spos, rpos) <= comm_range)
+                assert j not in links

@@ -172,6 +172,20 @@ def test_sweep_preset_writes_per_mac_files(tmp_path):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--counts", "3"], ["--mac", "csma"], ["--mac", "l3"], ["--scenario", LINE3]],
+)
+def test_sweep_preset_rejects_flags_it_fixes(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    argv = ["sweep", "--preset", "paper-fig7", "--trials", "1", "--out", str(out)]
+    assert main(argv + extra) == 1
+    err = capsys.readouterr().err
+    assert f"error: --preset paper-fig7 fixes {extra[0]}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_requires_preset_or_counts(tmp_path, capsys):
     assert main(["sweep", "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err

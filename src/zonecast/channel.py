@@ -44,11 +44,11 @@ class ChannelConfig:
     reference_power: float = 0.0  # dB at 1 m; only ratios matter
 
     def __post_init__(self) -> None:
-        if self.comm_range <= 0:
+        if not self.comm_range > 0:
             raise ValueError("comm_range must be positive")
-        if self.capture_threshold < 0:
+        if not self.capture_threshold >= 0:
             raise ValueError("capture_threshold must be non-negative")
-        if self.path_loss_exponent <= 0:
+        if not self.path_loss_exponent > 0:
             raise ValueError("path_loss_exponent must be positive")
 
 

@@ -1,14 +1,14 @@
 """Simulation engine for one zone: scenario construction, one slot loop
 shared by two MACs, and seeded sweeps.
 
-A run is a sequence of barrier-phased slots. In each one the MAC collects
-the armed vehicles' transmissions, decides what every vehicle hears and
-applies the deliveries. The slotted MAC resolves synchronized slots on the
-capture/constructive-interference channel; the CSMA baseline contends with
-random backoff and carrier sense. The run ends at the first silent slot —
-converged if every matrix is then identical, provably stalled otherwise (a
-capture-less collision can legitimately stall the exchange) — or at the
-max_slots safety cap (converged=False).
+A run is a sequence of barrier-phased slots. In each one the MAC decides
+who sends and what every vehicle hears; the slot loop applies the
+deliveries and writes the trace line. The slotted MAC resolves synchronized
+slots on the capture/constructive-interference channel; the CSMA baseline
+contends with random backoff and carrier sense. The run ends at the first
+silent slot — converged if every matrix is then identical, provably stalled
+otherwise (a capture-less collision can legitimately stall the exchange) —
+or at the max_slots safety cap (converged=False).
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ from .channel import (
     DELIVERED,
     ChannelConfig,
     LinkTable,
+    Outcome,
+    Transmission,
     link_table,
     resolve_slot,
 )
-from .grid import GridConfig, Position, ZoneIndex, locate_zone, zone_origin
+from .grid import GridConfig, Position, ZoneIndex, locate_zone
 from .protocol import (
     VehicleState,
     init_vehicle,
@@ -70,7 +72,7 @@ class CsmaConfig:
             raise ConfigError("cw_min must be >= 1")
         if not self.cw_min <= self.cw_max <= 2**63:  # backoffs are drawn as int64
             raise ConfigError(f"cw_max must be in [cw_min, 2**63], got {self.cw_max}")
-        if self.micro_slot_us < 0:
+        if not self.micro_slot_us >= 0:
             raise ConfigError("micro_slot_us must be non-negative")
 
 
@@ -103,19 +105,19 @@ class ScenarioConfig:
     csma: CsmaConfig = CsmaConfig()
 
     def __post_init__(self) -> None:
-        if self.slot_duration_ms <= 0:
+        if not self.slot_duration_ms > 0:
             raise ConfigError("slot_duration_ms must be positive")
-        if self.sensing_range <= 0:
+        if not self.sensing_range > 0:
             raise ConfigError("sensing_range must be positive")
-        if self.vehicle_radius < 0:
+        if not self.vehicle_radius >= 0:
             raise ConfigError("vehicle_radius must be non-negative")
-        if self.max_slots is not None and self.max_slots <= 0:
+        if self.max_slots is not None and not self.max_slots > 0:
             raise ConfigError("max_slots must be positive")
         if self.mac_mode not in ("l3", "csma"):
             raise ConfigError(f"mac_mode must be 'l3' or 'csma', got {self.mac_mode!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if any(radius <= 0 for _, radius in self.objects):
+        if any(not radius > 0 for _, radius in self.objects):
             raise ConfigError("object radii must be positive")
 
 
@@ -147,6 +149,8 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
     assert p is not None
     if p.count < 1:
         raise ConfigError("placement.count must be >= 1")
+    if math.isnan(p.min_separation):
+        raise ConfigError("placement.min_separation must be a number, got nan")
     if p.count > _DRAWS_PER_ATTEMPT:
         raise ConfigError(
             f"placement.count {p.count} exceeds {_DRAWS_PER_ATTEMPT}, the "
@@ -157,8 +161,8 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
     else:
         ox, oy = cfg.grid.origin
         x0, y0, x1, y1 = ox, oy, ox + cfg.grid.zone_side, oy + cfg.grid.zone_side
-    if x1 <= x0 or y1 <= y0:
-        raise ConfigError(f"degenerate placement area {p.area!r}")
+    if not (0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf):
+        raise ConfigError(f"degenerate or unbounded placement area {p.area!r}")
     s, reach = p.min_separation, cfg.channel.comm_range
     if p.count > 1:
         if p.connected and p.min_separation > cfg.channel.comm_range:
@@ -248,35 +252,46 @@ def build_world(
     return zones.pop(), vehicles, world
 
 
-# A MAC takes the run's config, vehicles and link table. It returns its slot
-# step, which sends and delivers one slot and returns whether anyone sent and
-# the slot's trace line, and the run's latency given the run's last slot.
-Step = Callable[[int], tuple[bool, str]]
+# A MAC takes the run's config, vehicles and link table and returns its slot
+# step and the run's latency given its last slot. The step sends one slot and
+# returns its transmissions and what each listed station heard, keyed by id in
+# trace order: the MAC decides, and _simulate delivers and writes the trace.
+Step = Callable[[], tuple[list[Transmission], dict[int, Outcome]]]
 Policy = tuple[Step, Callable[[int], float]]
 Mac = Callable[[ScenarioConfig, list[VehicleState], LinkTable], Policy]
 
 
-def _simulate(cfg: ScenarioConfig, mac: Mac) -> RunMetrics:
-    """The slot loop both MACs share. A slot is silent only when nobody is
-    armed, and it arms nobody, so the first silent slot ends the run:
-    converged if every matrix is identical, else provably stalled."""
+def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
+    """The slot loop both MACs share: it applies the deliveries the MAC's step
+    returns and writes each slot's trace line, headed ``word``. A slot is
+    silent only when nobody is armed and then arms nobody, so the first one
+    ends the run: converged if every matrix is identical, else stalled."""
     _, vehicles, world = build_world(cfg)
     states = [init_vehicle(vid, pos, world, cfg.grid, cfg.sensing_range) for vid, pos in vehicles]
     if cfg.initiators is not None:
         chosen = set(cfg.initiators)
         for s in states:
             s.pending_tx = s.id in chosen
-    stations = [(s.id, s.position) for s in states]
-    step, latency = mac(cfg, states, link_table(stations, cfg.channel))
+    table = link_table([(s.id, s.position) for s in states], cfg.channel)
+    step, latency = mac(cfg, states, table)
     max_slots = cfg.max_slots or min(10 * len(states), MAX_SLOTS_CAP)
     trace: list[str] = []
     converged = is_globally_converged(states)
     slot = last_tx = 0
     while not converged and slot < max_slots:
         slot += 1
-        sent, line = step(slot)
-        trace.append(line)
-        if not sent:
+        txs, outcomes = step()
+        entries = []
+        for rid, o in outcomes.items():
+            if o.kind == DELIVERED:
+                on_delivery(states[table.index[rid]], o.packet)
+                entries.append(f"{rid}:D{o.packet.sender}")
+            else:
+                entries.append(f"{rid}:C" if o.kind == COLLISION else f"{rid}:S")
+        senders = ",".join(str(t.sender) for t in txs) or "-"
+        heard = " ".join(entries) or ("-" if txs else "idle")
+        trace.append(f"{word} {slot} | tx {senders} | {heard}")
+        if not txs:
             converged = is_globally_converged(states)
             break
         last_tx = slot
@@ -294,41 +309,33 @@ def _simulate(cfg: ScenarioConfig, mac: Mac) -> RunMetrics:
 
 def _slotted(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Policy:
     """Synchronized slots: every armed vehicle sends and resolve_slot decides
-    what each receiver hears. Latency is quiescent_slot * slot_duration_ms."""
-    stations = [(s.id, s.position) for s in states]
-    by_id = sorted(states, key=lambda s: s.id)  # trace entries go by receiver id
+    what each station hears, listing every station by id. Latency is
+    quiescent_slot * slot_duration_ms."""
+    stations = sorted((s.id, s.position) for s in states)
 
-    def step(slot: int) -> tuple[bool, str]:
+    def step() -> tuple[list[Transmission], dict[int, Outcome]]:
         txs = [t for t in map(on_slot_begin, states) if t is not None]
-        outcomes = resolve_slot(txs, stations, cfg.channel, table)
-        parts = []
-        for s in by_id:
-            o = outcomes[s.id]
-            if o.kind == DELIVERED:
-                on_delivery(s, o.packet)
-                parts.append(f"{s.id}:D{o.packet.sender}")
-            else:
-                parts.append(f"{s.id}:C" if o.kind == COLLISION else f"{s.id}:S")
-        senders = ",".join(str(t.sender) for t in txs) or "-"
-        return bool(txs), f"slot {slot} | tx {senders} | {' '.join(parts)}"
+        return txs, resolve_slot(txs, stations, cfg.channel, table)
 
     return step, lambda slot: slot * cfg.slot_duration_ms
 
 
 def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Policy:
     """Contention rounds; see run_baseline. Station k is states[k] and
-    table.links[k] its neighbours."""
+    table.links[k] its neighbours. A round lists, in states order, only the
+    stations that heard a sole transmitter (delivered) or several (collision)."""
     rng = np.random.default_rng([cfg.seed, 0x5DEECE66])
     cw = [cfg.csma.cw_min] * len(states)
     micro_ms = cfg.csma.micro_slot_us / 1000.0
+    collision = Outcome(COLLISION)
     elapsed = 0.0
 
-    def step(rnd: int) -> tuple[bool, str]:
+    def step() -> tuple[list[Transmission], dict[int, Outcome]]:
         nonlocal elapsed
         armed = [k for k, s in enumerate(states) if s.pending_tx]
         if not armed:
             elapsed += cfg.slot_duration_ms
-            return False, f"round {rnd} | tx - | idle"
+            return [], {}
         # One draw per armed station, in states order; contend by (draw, id).
         order = sorted((int(rng.integers(0, cw[k])), states[k].id, k) for k in armed)
         sent: list[int] = []
@@ -338,30 +345,21 @@ def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> 
             # whole level has sensed it.
             sent += [k for _, _, k in level if table.links[k].keys().isdisjoint(sent)]
         txs = [on_slot_begin(states[k]) for k in sent]
-        # Per station, the transmitters in range (a station is never its own
-        # neighbour) and the first of them, as a position in sent.
-        heard = [0] * len(states)
-        first = [0] * len(states)
-        for j, k in enumerate(sent):
+        # Per station, what the transmitters in range give it (a station is
+        # never its own neighbour): the sole one's packet, or a collision.
+        got: list[Optional[Outcome]] = [None] * len(states)
+        for k, t in zip(sent, txs):
+            delivered = Outcome(DELIVERED, t.packet)
             for r in table.links[k]:
-                if not heard[r]:
-                    first[r] = j
-                heard[r] += 1
+                got[r] = delivered if got[r] is None else collision
         for k in sent:
-            collided = heard[k] > 0  # another transmitter in range
+            collided = got[k] is not None  # another transmitter in range
             cw[k] = min(cw[k] * 2, cfg.csma.cw_max) if collided else cfg.csma.cw_min
             states[k].pending_tx = collided  # retry after a collision
-            heard[k] = 0  # half-duplex: a transmitter hears nothing
-        delivered_to = []
-        for s, n, j in zip(states, heard, first):
-            if n == 1:
-                on_delivery(s, txs[j].packet)
-                delivered_to.append(f"{s.id}:D{txs[j].sender}")
-            elif n > 1:
-                delivered_to.append(f"{s.id}:C")
+            got[k] = None  # half-duplex: a transmitter hears nothing
+        outcomes = {s.id: o for s, o in zip(states, got) if o is not None}
         elapsed += cfg.slot_duration_ms + order[0][0] * micro_ms  # the first sender's draw
-        senders = ",".join(str(t.sender) for t in txs)
-        return True, f"round {rnd} | tx {senders} | {' '.join(delivered_to) or '-'}"
+        return txs, outcomes
 
     return step, lambda rounds: elapsed
 
@@ -375,7 +373,7 @@ def run(cfg: ScenarioConfig) -> RunMetrics:
     """
     if cfg.mac_mode == "csma":
         return run_baseline(cfg)
-    return _simulate(cfg, _slotted)
+    return _simulate(cfg, _slotted, "slot")
 
 
 def run_baseline(cfg: ScenarioConfig) -> RunMetrics:
@@ -387,7 +385,7 @@ def run_baseline(cfg: ScenarioConfig) -> RunMetrics:
     double the collider's CW. A receiver decodes only a sole in-range
     transmitter. Each round costs slot_duration_ms plus the winning backoff.
     """
-    return _simulate(cfg, _csma)
+    return _simulate(cfg, _csma, "round")
 
 
 def sweep(

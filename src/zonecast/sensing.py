@@ -230,9 +230,9 @@ class GroundTruth:
     vehicles: tuple[tuple[int, Position, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if any(r <= 0 for _, r in self.objects):
+        if any(not r > 0 for _, r in self.objects):
             raise ValueError("object radii must be positive")
-        if any(r < 0 for _, _, r in self.vehicles):
+        if any(not r >= 0 for _, _, r in self.vehicles):
             raise ValueError("vehicle radii must be non-negative")
         object.__setattr__(self, "_hash", hash((self.objects, self.vehicles)))
 

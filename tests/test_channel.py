@@ -191,3 +191,10 @@ def test_config_validation():
         ChannelConfig(capture_threshold=-1.0)
     with pytest.raises(ValueError):
         ChannelConfig(path_loss_exponent=0.0)
+
+
+@pytest.mark.parametrize("field", ["comm_range", "capture_threshold", "path_loss_exponent"])
+def test_config_rejects_nan(field):
+    # A NaN passes every `x <= 0` test; `not x > 0` rejects it.
+    with pytest.raises(ValueError, match=field):
+        ChannelConfig(**{field: math.nan})

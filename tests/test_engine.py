@@ -141,19 +141,24 @@ def _trace_tx_counts(trace: list[str]) -> dict[int, int]:
     return sent
 
 
-def test_accounting_matches_trace():
+@pytest.mark.parametrize("mac", ["l3", "csma"])
+def test_accounting_matches_trace(mac):
     cfg = ScenarioConfig(
         channel=ChannelConfig(comm_range=30.0),
         vehicle_radius=0.0,
         placement=Placement(count=6),
         initiators=(1,),
         seed=5,
+        mac_mode=mac,
     )
     m = run(cfg)
     assert _trace_tx_counts(m.trace) == {k: v for k, v in m.tx_slots.items() if v}
     assert _trace_deliveries(m.trace) == {k: v for k, v in m.rx_slots.items() if v}
     assert m.last_tx_slot <= m.quiescent_slot
-    assert m.latency_ms == pytest.approx(m.quiescent_slot * cfg.slot_duration_ms)
+    if mac == "l3":
+        assert m.latency_ms == pytest.approx(m.quiescent_slot * cfg.slot_duration_ms)
+    else:  # each round also waits out its first sender's backoff
+        assert m.latency_ms >= m.quiescent_slot * cfg.slot_duration_ms
 
 
 def test_latency_scales_with_slot_duration():
@@ -271,6 +276,36 @@ def test_config_bounds_are_config_errors():
         ScenarioConfig(seed=-1)
     with pytest.raises(ConfigError, match="radii"):
         ScenarioConfig(objects=(((20.0, 20.0), 0.0),))
+
+
+def _placed(**placement):
+    return build_world(ScenarioConfig(placement=Placement(**placement)))
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: ScenarioConfig(slot_duration_ms=math.nan), "slot_duration_ms"),
+        (lambda: ScenarioConfig(sensing_range=math.nan), "sensing_range"),
+        (lambda: ScenarioConfig(vehicle_radius=math.nan), "vehicle_radius"),
+        (lambda: ScenarioConfig(max_slots=math.nan), "max_slots"),
+        (lambda: ScenarioConfig(objects=(((20.0, 20.0), math.nan),)), "radii"),
+        (lambda: CsmaConfig(micro_slot_us=math.nan), "micro_slot_us"),
+        (lambda: _placed(count=5, min_separation=math.nan), "min_separation"),
+        (lambda: _placed(count=2, area=(0.0, 0.0, math.nan, 10.0)), "area"),
+        (lambda: _placed(count=2, area=(0.0, 0.0, math.inf, 10.0)), "area"),
+        (lambda: _placed(count=2, area=(0.0, -math.inf, 10.0, 10.0)), "area"),
+    ],
+    ids=[
+        "slot_duration_ms", "sensing_range", "vehicle_radius", "max_slots", "object_radius",
+        "micro_slot_us", "min_separation", "nan_area", "inf_area", "minus_inf_area",
+    ],
+)
+def test_non_finite_bounds_are_config_errors(make, match):
+    # A NaN passes every `x <= 0` test, and numpy's uniform draw raises
+    # OverflowError on a non-finite area; both must be ConfigErrors.
+    with pytest.raises(ConfigError, match=match):
+        make()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ pen and paper.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -144,3 +145,13 @@ def test_equal_worlds_hash_and_compare_equal():
     moved = dataclasses.replace(a, vehicles=vehicles[:1])
     assert moved != a and hash(moved) == hash((moved.objects, moved.vehicles))
     assert len({a, b, moved}) == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"objects": (((5.0, 5.0), math.nan),)}, {"vehicles": ((1, (5.0, 5.0), math.nan),)}],
+    ids=["object", "vehicle"],
+)
+def test_ground_truth_rejects_nan_radii(fields):
+    with pytest.raises(ValueError, match="radii"):
+        GroundTruth(**fields)

@@ -21,9 +21,9 @@ and vehicles. What does not depend on the viewer is built once per world and
 shared by every vehicle (``_world_view``): the zone's block centres, the mask
 of occupied blocks and the occluder disc arrays. A world with no disc of
 radius > 0 skips the occlusion test altogether; otherwise ``_hidden`` tests
-all discs at once against the block centres in sensing range, reproducing
-the float results of the rule applied to one disc at a time (see its
-docstring).
+every disc within reach of the viewer at once against the block centres in
+sensing range, reproducing the float results of the rule applied to one
+disc at a time (see its docstring).
 """
 
 from __future__ import annotations
@@ -208,8 +208,9 @@ def aggregate(
 
 
 def has_uncertain(mat: SensingMatrix) -> bool:
-    """True iff any cell is UNCERTAIN (01)."""
-    return bool(np.any(mat.cells == BlockState.UNCERTAIN))
+    """True iff any cell is UNCERTAIN (01). Compares with the plain int: an
+    IntEnum operand sends numpy down its slow scalar path."""
+    return bool((mat.cells == BlockState.UNCERTAIN.value).any())
 
 
 @dataclass(frozen=True)
@@ -248,6 +249,7 @@ class _WorldView(NamedTuple):
     centers: np.ndarray  # (C, 2) block centres, row-major from the south-west
     occupied: np.ndarray  # (C,) block holds an object or vehicle centre
     q: np.ndarray  # (M, 2) disc centres
+    r: np.ndarray  # (M,) radii
     r2: np.ndarray  # (M,) squared radii
     owner: np.ndarray  # (M,) vehicle id, None for an object
     outside: np.ndarray  # (M, C) block centre lies outside the disc
@@ -269,21 +271,26 @@ def _world_view(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> _WorldV
     discs = [(pos, r, None) for pos, r in world.objects]
     discs += [(pos, r, vid) for vid, pos, r in world.vehicles if r > 0]
     q = np.array([pos for pos, _, _ in discs], dtype=float).reshape(-1, 2)
-    r2 = np.array([r * r for _, r, _ in discs], dtype=float)
+    r = np.array([r for _, r, _ in discs], dtype=float)
+    r2 = r * r
     owner = np.array([vid for _, _, vid in discs], dtype=object)
     d2 = centers[:, 0] - q[:, :1]  # (M, C), squared in place to keep the peak low
     d2 *= d2
     dy = centers[:, 1] - q[:, 1:]
     dy *= dy
     d2 += dy
-    view = _WorldView(centers, occupied, q, r2, owner, d2 > r2[:, None])
+    view = _WorldView(centers, occupied, q, r, r2, owner, d2 > r2[:, None])
     for a in view:
         a.flags.writeable = False
     return view
 
 
 def _hidden(
-    self_id: int, viewer: np.ndarray, cols: np.ndarray, view: _WorldView
+    self_id: int,
+    viewer: np.ndarray,
+    cols: np.ndarray,
+    view: _WorldView,
+    sensing_range: float,
 ) -> np.ndarray:
     """The entries of ``cols`` whose block center is hidden behind a disc.
 
@@ -292,7 +299,36 @@ def _hidden(
     and c itself must lie outside the disc, so an object never shadows the
     block it occupies. The viewer's own disc never occludes.
 
-    All remaining discs are tested at once, as (discs x cols) arrays.
+    Only discs within reach are tested. Every center in ``cols`` lies within
+    ``sensing_range`` R of the viewer v, so the closest point of its segment
+    does too, and a disc of radius r centred farther than R + r from v can
+    never pass ``dx*dx + dy*dy <= r2``. The cut reuses the squared distance
+    ``w·w`` of the viewer-inside-the-disc test and leaves slack for the float
+    error of both tests, which is relative at any distance from the origin.
+    With u = 2**-53:
+
+    - ``hypot`` is within an ulp, so each segment is at most R(1 + 3u) long;
+    - the tested point p = v + t*seg, t in [0, 1], lies between v and the
+      center c coordinate by coordinate when c - v is exact, which Sterbenz's
+      lemma gives whenever the two coordinates are within a factor 2, as
+      anywhere in a zone far from the origin; otherwise |v| <= 2|c - v| there,
+      and the rounding of v + t*seg adds at most 4u|seg|. So |p - v| <=
+      (1 + 4u)|seg|;
+    - a hit rounds q - p once and its sum of squares twice against r2 <=
+      r*r(1 + u), so |q - p| <= r(1 + 3u);
+    - ``w·w`` is at most (1 + u)**4 |q - v|**2, fused or not.
+
+    A hitting disc thus has sqrt(w·w) <= (R + r)(1 + 11u). The cut keeps
+    w·w <= reach*reach for reach = (R + r)(1 + 2**-40) + 2**-500: 2**-40 is
+    8192u, which also absorbs the roundings of reach and of its square, and
+    2**-500 exceeds the absolute error of subnormal results, a few 2**-1075
+    in a square. An overflowed ``w·w`` lies beyond every finite reach, and
+    an infinite reach keeps every disc. Zero slack is not enough: where c - v
+    is inexact, v + seg can round past c toward a disc just over r beyond c,
+    which is then hit while ``w·w`` reads above (R + r)**2
+    (``tests/test_perceive_properties.py`` keeps such worlds).
+
+    The discs left are tested at once, as (discs x cols) arrays.
     Ties (a segment tangent to a disc, a center on its boundary) are decided
     by exact float comparisons, so every value is computed in the float
     order of the rule applied to one disc at a time. The two dot products
@@ -304,9 +340,13 @@ def _hidden(
     """
     keep = view.owner != self_id
     w = view.q[keep] - viewer
-    clear = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0] > view.r2[keep]
-    keep[keep] = clear  # a disc holding the viewer casts no shadow
-    q, w = view.q[keep], w[clear]
+    ww = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+    reach = (sensing_range + view.r[keep]) * (1 + 2**-40) + 2**-500
+    # A disc holding the viewer casts no shadow; one out of reach casts none
+    # on a center in range.
+    near = (ww > view.r2[keep]) & (ww <= reach * reach)
+    keep[keep] = near
+    q, w = view.q[keep], w[near]
     seg = view.centers[cols] - viewer
     seg_len2 = np.einsum("ij,ij->i", seg, seg)
     safe_len2 = np.where(seg_len2 == 0, 1.0, seg_len2)
@@ -346,7 +386,7 @@ def perceive(
     if len(view.r2):
         # Only centers in range can read UNCERTAIN; the rest read 00 anyway.
         cols = np.flatnonzero(dist <= sensing_range)
-        cells[_hidden(self_id, viewer, cols, view)] = BlockState.UNCERTAIN
+        cells[_hidden(self_id, viewer, cols, view, sensing_range)] = BlockState.UNCERTAIN
     cells[dist > sensing_range] = BlockState.OUT_OF_SENSING
     return SensingMatrix._of(zone, cells.reshape(n, n))
 

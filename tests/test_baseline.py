@@ -2,7 +2,10 @@
 
 import re
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zonecast import (
     ChannelConfig,
@@ -12,6 +15,7 @@ from zonecast import (
     run,
     run_baseline,
 )
+from zonecast.engine import _backoffs
 
 ROUND_RE = re.compile(r"^round \d+ \| tx (-|\d+(,\d+)*) \| .+$")
 
@@ -126,3 +130,22 @@ def test_dense_csma_terminates_cleanly():
     if m.converged:
         assert m.trace[-1].endswith("idle")
     assert m.latency_ms >= m.quiescent_slot * cfg.slot_duration_ms - 1e-9
+
+
+WINDOWS = st.one_of(
+    st.integers(1, 2**11),
+    st.integers(1, 2**63),
+    st.sampled_from([2**32 - 1, 2**32, 2**32 + 1, 2**53 + 1, 2**63 - 1, 2**63]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), cws=st.lists(WINDOWS, min_size=1, max_size=12))
+@example(seed=0, cws=[2**32 - 1, 2**32, 2**32 + 1, 2**63])
+@example(seed=1, cws=[15, 2**63, 1, 2**63 - 1, 31])
+def test_one_backoff_call_draws_the_per_contender_stream(seed, cws):
+    # Windows are Python ints up to cw_max = 2**63, past int64; 1 draws
+    # nothing from the stream, and above 2**32 numpy switches to 64-bit draws.
+    one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _backoffs(one, cws) == [int(each.integers(0, cw)) for cw in cws]
+    assert one.bit_generator.state == each.bit_generator.state

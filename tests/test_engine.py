@@ -545,3 +545,16 @@ def test_sweep_csv_layout():
     first = lines[1].split(",")
     assert first[0] == "3" and first[1] == "0"
     assert first[6] in ("True", "False")
+
+
+@pytest.mark.parametrize("seed", [0, 42_000])
+def test_default_scenario_stalls_at_slot_2(seed):
+    # 100 vehicles of radius 1 m in the default zone (perfbench's occluded
+    # workload; 42_000 is its first placement): each holds an UNCERTAIN cell,
+    # so all initiate and send in slot 1, and half-duplex radios leave no
+    # one listening. Slot 2 is silent and the run stalls with no reception.
+    m = run(ScenarioConfig(placement=Placement(100), seed=seed))
+    assert not m.converged
+    assert m.quiescent_slot == 2 and m.last_tx_slot == 1
+    assert set(m.tx_slots.values()) == {1}
+    assert set(m.rx_slots.values()) == {0}

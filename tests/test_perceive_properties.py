@@ -9,8 +9,11 @@ a disc and viewers exactly on a block centre. Occlusion is decided by
 would flip a cell.
 """
 
+import math
+
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zonecast import (
@@ -178,3 +181,100 @@ def test_tie_examples_hit_the_ties_they_name():
     assert np.hypot(5.0 - 6.0, 5.0 - 5.5) < 2.5  # vehicle 1 inside a disc
     assert np.hypot(10.0 - 10.0, 10.0 - 11.0) == 1.0  # vehicle 2 on a boundary
     assert any(tuple(c) == (9.0, 11.0) for c in centers)  # viewer on a centre
+
+
+# Worlds at the edge of the occlusion test's reach cut: 12 x 12 blocks of
+# 2 m, centres on odd metres from the zone origin. The first zone straddles
+# (0, 0), where c - v can round. The second lies 1e6 m out along x, where x
+# differences inside the zone are exact; the third lies 1e9 m out on both
+# axes, where every coordinate difference inside the zone is exact.
+ORIGINS = ((-12.0, -12.0), (1e6, 0.0), (-1e9, 1e9))
+
+
+def reach_grid(origin):
+    return GridConfig(zone_side=24.0, block_side=2.0, origin=origin)
+
+
+def nudge(x, ulps):
+    """x moved ``ulps`` floats up (or down, when negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def reach_cases(draw):
+    """A viewer whose sensing range ends exactly at a block centre c, with
+    discs on the far side of c on the sight line: centred r beyond c, so at
+    sensing_range + r from the viewer, each coordinate then nudged by an ulp
+    or not. Band discs, centred between sensing_range - r and + r in any
+    direction, shadow centres near the edge of range."""
+    origin = draw(st.sampled_from(ORIGINS))
+    ox, oy = origin
+    viewer = (ox + draw(st.floats(0.0, 23.9)), oy + draw(st.floats(0.0, 23.9)))
+    c = (ox + 2 * draw(st.integers(0, 11)) + 1, oy + 2 * draw(st.integers(0, 11)) + 1)
+    seg = (c[0] - viewer[0], c[1] - viewer[1])
+    reach = float(np.hypot(*seg))
+    assume(reach > 0)
+    objects = []
+    for r in draw(st.lists(st.sampled_from(RADII[1:]), min_size=1, max_size=3)):
+        q = (c[0] + r * seg[0] / reach, c[1] + r * seg[1] / reach)
+        ulps = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+        objects.append(((nudge(q[0], ulps[0]), nudge(q[1], ulps[1])), r))
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.sampled_from(RADII[1:]))
+        d = draw(st.floats(reach - r, reach + r))
+        a = draw(st.floats(0.0, 2 * math.pi))
+        objects.append(((viewer[0] + d * math.cos(a), viewer[1] + d * math.sin(a)), r))
+    world = GroundTruth(
+        objects=tuple(objects), vehicles=((1, viewer, draw(st.sampled_from(RADII))),)
+    )
+    return reach_grid(origin), world, reach
+
+
+# Near (0, 0), v + (c - v) rounds an ulp past the centre c (in the first
+# world, c = (7, 1)) toward a disc that c lies just outside of, so c is
+# hidden although the disc's w·w reads above (sensing_range + r)**2. Found by
+# a search over such worlds; random draws rarely land on one, and no such
+# world exists far out.
+ROUNDED_PAST_C = (
+    reach_grid(ORIGINS[0]),
+    GroundTruth(
+        objects=(((6.743614442785837, 2.983498536942234), 2.0),),
+        vehicles=((1, (8.114194850714881, -7.619845362098508), 0.0),),
+    ),
+    8.69155706601819,
+)
+ROUNDED_PAST_C_2 = (
+    reach_grid(ORIGINS[0]),
+    GroundTruth(
+        objects=(((5.871680702783089, -9.490074231515575), 1.0),),
+        vehicles=((1, (-7.142999136613244, -2.1729921849022755), 0.0),),
+    ),
+    13.930558629832309,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=reach_cases())
+@example(case=ROUNDED_PAST_C)
+@example(case=ROUNDED_PAST_C_2)
+def test_discs_at_the_edge_of_reach_match_the_reference(case):
+    grid, world, sensing_range = case
+    zone = ZoneIndex(0, 0)
+    for vid, pos, _ in world.vehicles:
+        got = perceive(vid, pos, world, zone, grid, sensing_range)
+        want = reference_perceive(vid, pos, world, zone, grid, sensing_range)
+        assert got.cells.tolist() == want.tolist(), f"viewer {vid} at {pos}"
+
+
+@pytest.mark.parametrize("case", [ROUNDED_PAST_C, ROUNDED_PAST_C_2])
+def test_rounded_past_c_examples_sit_beyond_the_exact_reach(case):
+    # Guards the examples above against a silent edit: the reference hides
+    # a centre behind the disc although its w·w exceeds (range + r)**2.
+    grid, world, sensing_range = case
+    (vid, pos, _), ((q, r),) = world.vehicles[0], world.objects
+    w = np.subtract(q, pos)
+    assert w @ w > (sensing_range + r) ** 2
+    want = reference_perceive(vid, pos, world, ZoneIndex(0, 0), grid, sensing_range)
+    assert (want == BlockState.UNCERTAIN).any()

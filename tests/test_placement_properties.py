@@ -155,3 +155,20 @@ def test_exact_ties_are_decided_as_math_dist_decides():
     assert placed == reference_place(cfg)
     gaps = [math.dist(a, b) for i, (_, a) in enumerate(placed) for _, b in placed[i + 1:]]
     assert min(gaps) == ulp
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_draws_continue_across_attempts(seed):
+    # Two points at 70% of their best spread, the diagonal, in a 10 m
+    # square: for these seeds the first attempt's 20,000 draws place only
+    # one, and a later attempt's draws must go on from where it stopped,
+    # partway into a block of draws.
+    cfg = ScenarioConfig(
+        placement=Placement(2, (0.0, 0.0, 10.0, 10.0), 0.7 * math.sqrt(200.0), False),
+        seed=seed,
+    )
+    rng = np.random.default_rng([seed, 0x9E3779B9])
+    first = (float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 10.0)))
+    placed = _place_vehicles(cfg)
+    assert placed[0][1] != first  # an attempt's first draw is always kept
+    assert placed == reference_place(cfg)

@@ -3,15 +3,16 @@ constructive interference of byte-identical packets.
 
 All transmissions of a slot start simultaneously (the protocol is slot
 synchronous), so the only questions the channel answers are which packets a
-listener can decode and whether the strongest rises far enough above the sum
-of the rest.
+listener can decode and whether the strongest captures: whether the others'
+linear power ratios to it, ``10**((p - strongest)/10)``, sum to at most
+``10**(-capture_threshold/10)``.
 
 Stations do not move during a run, so the link geometry is static: a
 LinkTable lists each station's neighbours within comm_range with their
 received powers, built once per run. Powers come from received_power itself,
 one call per in-range pair, so they are bit-identical to the scalar model.
 numpy's log10 and hypot are not: they differ in the last bit on a few percent
-of pairs, which can flip a capture decision whose margin is exactly 0 dB.
+of pairs, which can flip a capture decision that sits on its threshold.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class ChannelConfig:
     comm_range: float = 100.0
     capture_threshold: float = 3.0  # dB above the sum of all other signals
     path_loss_exponent: float = 2.0
-    reference_power: float = 0.0  # dB at 1 m; only ratios matter
 
     def __post_init__(self) -> None:
         if not self.comm_range > 0:
@@ -83,11 +83,11 @@ class Outcome:
 
 
 def received_power(tx_pos: Position, rx_pos: Position, cfg: ChannelConfig) -> float:
-    """Received power in dB under log-distance path loss."""
+    """Received power in dB relative to 1 m, under log-distance path loss."""
     d = math.dist(tx_pos, rx_pos)
     if d == 0:
         raise DegenerateGeometryError(f"transmitter and receiver both at {tx_pos!r}")
-    return cfg.reference_power - 10.0 * cfg.path_loss_exponent * math.log10(d)
+    return -10.0 * cfg.path_loss_exponent * math.log10(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,11 +133,12 @@ def resolve_slot(
     receiver hears a group through its linked members, those within
     comm_range, and the group's power there is its strongest linked member's
     (ties go to the lowest sender id); a member out of range never counts,
-    even when a float tie across the range edge gives it the same power. A
-    single audible group is delivered; among several, the strongest is
-    delivered only if it exceeds the linear-scale sum of the others by
-    capture_threshold dB, else the slot is a collision. Senders are
-    half-duplex and always hear silence.
+    even when a float tie across the range edge gives it the same power. The
+    strongest audible group is delivered when the others' linear ratios to
+    it, ``10**((p - strongest)/10)`` summed in rank order, come to at most
+    ``10**(-capture_threshold/10)``; else the slot is a collision. No ratio
+    exceeds 1 and an exact tie is 1.0 on any libm. Senders are half-duplex
+    and always hear silence.
 
     ``table`` must cover every receiver and sender; engines pass one built
     per run. Without it the slot tabulates its listeners and senders with
@@ -164,16 +165,14 @@ def resolve_slot(
             best = heard[k]
             if g not in best or p > best[g][0]:
                 best[g] = (p, t)
+    bound = 10.0 ** (-cfg.capture_threshold / 10.0)
     for rid, _ in listeners:
         got = heard[table.index[rid]]
         if not got:
             continue
         ranked = sorted(got.values(), key=lambda pt: (-pt[0], pt[1].sender))
         (strongest, t), others = ranked[0], ranked[1:]
-        if others:
-            others_linear = sum(10.0 ** (p / 10.0) for p, _ in others)
-            margin = strongest - 10.0 * math.log10(others_linear)
-        if not others or margin >= cfg.capture_threshold:
+        if sum(10.0 ** ((p - strongest) / 10.0) for p, _ in others) <= bound:
             outcomes[rid] = Outcome(DELIVERED, t.packet)
         else:
             outcomes[rid] = _COLLIDED

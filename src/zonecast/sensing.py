@@ -252,7 +252,6 @@ class _WorldView(NamedTuple):
     r: np.ndarray  # (M,) radii
     r2: np.ndarray  # (M,) squared radii
     owner: np.ndarray  # (M,) vehicle id, None for an object
-    outside: np.ndarray  # (M, C) block centre lies outside the disc
 
 
 @lru_cache(maxsize=1)
@@ -274,12 +273,7 @@ def _world_view(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> _WorldV
     r = np.array([r for _, r, _ in discs], dtype=float)
     r2 = r * r
     owner = np.array([vid for _, _, vid in discs], dtype=object)
-    d2 = centers[:, 0] - q[:, :1]  # (M, C), squared in place to keep the peak low
-    d2 *= d2
-    dy = centers[:, 1] - q[:, 1:]
-    dy *= dy
-    d2 += dy
-    view = _WorldView(centers, occupied, q, r, r2, owner, d2 > r2[:, None])
+    view = _WorldView(centers, occupied, q, r, r2, owner)
     for a in view:
         a.flags.writeable = False
     return view
@@ -316,7 +310,7 @@ def _hidden(
       (1 + 4u)|seg|;
     - a hit rounds q - p once and its sum of squares twice against r2 <=
       r*r(1 + u), so |q - p| <= r(1 + 3u);
-    - ``w·w`` is at most (1 + u)**4 |q - v|**2, fused or not.
+    - ``w·w`` is at most (1 + u)**4 |q - v|**2.
 
     A hitting disc thus has sqrt(w·w) <= (R + r)(1 + 11u). The cut keeps
     w·w <= reach*reach for reach = (R + r)(1 + 2**-40) + 2**-500: 2**-40 is
@@ -331,30 +325,29 @@ def _hidden(
     The discs left are tested at once, as (discs x cols) arrays.
     Ties (a segment tangent to a disc, a center on its boundary) are decided
     by exact float comparisons, so every value is computed in the float
-    order of the rule applied to one disc at a time. The two dot products
-    go through stacked ``np.matmul``, which computes each product with the
-    BLAS kernels of a single disc's ``seg @ w`` and ``w @ w``. An elementwise
-    ``x*x + y*y`` or ``einsum`` would not match where BLAS fuses the
-    multiply-add, as x86-64 OpenBLAS does. Everything else is elementwise on
-    split x/y arrays.
+    order of the rule applied to one disc at a time, with separate
+    elementwise ufuncs on split x/y arrays: they never fuse a multiply-add,
+    so the bits do not depend on the platform's BLAS.
     """
     keep = view.owner != self_id
-    w = view.q[keep] - viewer
-    ww = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+    wx, wy = (view.q[keep] - viewer).T
+    ww = wx * wx + wy * wy
     reach = (sensing_range + view.r[keep]) * (1 + 2**-40) + 2**-500
     # A disc holding the viewer casts no shadow; one out of reach casts none
     # on a center in range.
     near = (ww > view.r2[keep]) & (ww <= reach * reach)
     keep[keep] = near
-    q, w = view.q[keep], w[near]
-    seg = view.centers[cols] - viewer
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
+    qx, qy, r2 = view.q[keep, :1], view.q[keep, 1:], view.r2[keep, None]
+    cx, cy = view.centers[cols].T
+    sx, sy = cx - viewer[0], cy - viewer[1]
+    seg_len2 = sx * sx + sy * sy
     safe_len2 = np.where(seg_len2 == 0, 1.0, seg_len2)
-    t = np.matmul(seg, w[:, :, None])[:, :, 0] / safe_len2
+    t = (sx * wx[near, None] + sy * wy[near, None]) / safe_len2
     t = np.minimum(np.maximum(t, 0.0), 1.0)
-    dx = q[:, :1] - (viewer[0] + t * seg[:, 0])
-    dy = q[:, 1:] - (viewer[1] + t * seg[:, 1])
-    hit = (dx * dx + dy * dy <= view.r2[keep, None]) & view.outside[keep][:, cols]
+    dx = qx - (viewer[0] + t * sx)
+    dy = qy - (viewer[1] + t * sy)
+    ox, oy = cx - qx, cy - qy  # a center on or in the disc is not hidden by it
+    hit = (dx * dx + dy * dy <= r2) & (ox * ox + oy * oy > r2)
     return cols[hit.any(axis=0) & (seg_len2 > 0)]
 
 

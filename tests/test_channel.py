@@ -1,13 +1,15 @@
 """Slot resolution: log-distance power, capture margins, identical-frame
 combining, and range cut-offs.
 
-Expected powers are computed by hand from p = ref - 10*exp*log10(d):
+Expected powers are computed by hand from p = -10*exp*log10(d):
 15 m -> -23.52 dB, 45 m -> -33.06 dB (margin 9.54 dB), 10 m -> -20 dB,
 17 m -> -24.61 dB (two of them sum to -21.60 dB, margin 1.60 dB),
 20 m -> -26.02 dB (two of them sum to -23.01 dB, margin 3.01 dB).
 """
 
 import math
+import types
+from dataclasses import replace
 
 import pytest
 
@@ -21,12 +23,16 @@ from zonecast import (
     Packet,
     Transmission,
     ZoneIndex,
+    bundled_scenario,
+    channel,
+    load_scenario,
     received_power,
     resolve_slot,
+    run,
 )
 
 Z = ZoneIndex(0, 0)
-CFG = ChannelConfig()  # 100 m range, 3 dB margin, exponent 2, 0 dB reference
+CFG = ChannelConfig()  # 100 m range, 3 dB margin, exponent 2
 
 
 def tx(sender, pos, payload=b"\x01" * 100):
@@ -39,11 +45,9 @@ def test_received_power_log_distance_values():
     assert received_power((0, 0), (1, 0), CFG) == pytest.approx(0.0)
 
 
-def test_received_power_exponent_and_reference_scale():
+def test_received_power_exponent_scale():
     steep = ChannelConfig(path_loss_exponent=3.0)
     assert received_power((0, 0), (10, 0), steep) == pytest.approx(-30.0)
-    hot = ChannelConfig(reference_power=20.0)
-    assert received_power((0, 0), (10, 0), hot) == pytest.approx(0.0)
 
 
 def test_zero_distance_is_degenerate():
@@ -149,6 +153,35 @@ def test_zero_threshold_delivers_any_strictly_stronger_frame():
     out = resolve_slot(txs, [(1, (0, 0))], lax)
     assert out[1].kind == DELIVERED
     assert out[1].packet.sender == 2
+
+
+def test_exact_tie_at_zero_threshold_goes_to_the_lowest_sender():
+    # Both senders are sqrt(104) m from the listener, so their powers are one
+    # double and sender 3's ratio to sender 2 is exactly 1.0, the 0 dB bound.
+    # A margin taken through 10**(p/10) and log10 reads just below 0 dB at
+    # this distance under exponent 3, and would call the slot a collision.
+    tie = ChannelConfig(comm_range=20.0, capture_threshold=0.0, path_loss_exponent=3.0)
+    txs = [tx(3, (60.0, 52.0), b"\x03" * 100), tx(2, (52.0, 60.0), b"\x02" * 100)]
+    out = resolve_slot(txs, [(1, (50.0, 50.0))], tie)
+    assert out[1].kind == DELIVERED and out[1].packet.sender == 2
+
+
+@pytest.mark.parametrize("direction", [math.inf, -math.inf])
+def test_bundled_traces_do_not_depend_on_the_last_bit_of_log10(monkeypatch, direction):
+    # The grid9 scenarios hold exact 0 dB ties. Another libm may round log10
+    # one ulp the other way; every tie must still resolve as it does here.
+    names = ("fig5_line3", "grid9_corner", "grid9_middle")
+    cfgs = [
+        replace(load_scenario(bundled_scenario(name)), mac_mode=mac)
+        for name in names
+        for mac in ("l3", "csma")
+    ]
+    want = [run(cfg).trace for cfg in cfgs]
+    shifted = types.SimpleNamespace(
+        **{**vars(math), "log10": lambda x: math.nextafter(math.log10(x), direction)}
+    )
+    monkeypatch.setattr(channel, "math", shifted)
+    assert [run(cfg).trace for cfg in cfgs] == want
 
 
 def test_empty_slot_is_silent_everywhere():

@@ -9,7 +9,7 @@ identical-payload groups form in most slots.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zonecast import (
@@ -52,9 +52,9 @@ def reference(txs, receivers, cfg):
             out[rid] = (DELIVERED, audible[0][2])
         else:
             audible.sort(key=lambda item: (-item[0], item[1]))
-            others = sum(10.0 ** (p / 10.0) for p, _, _ in audible[1:])
-            margin = audible[0][0] - 10.0 * math.log10(others)
-            if margin >= cfg.capture_threshold:
+            strongest = audible[0][0]
+            others = sum(10.0 ** ((p - strongest) / 10.0) for p, _, _ in audible[1:])
+            if others <= 10.0 ** (-cfg.capture_threshold / 10.0):
                 out[rid] = (DELIVERED, audible[0][2])
             else:
                 out[rid] = (COLLISION, None)
@@ -89,12 +89,28 @@ def slots(draw):
     return stations, txs, receivers, cfg
 
 
+# An exact 0 dB tie: both senders are sqrt(104) m from the listener, where a
+# round trip through 10**(p/10) and log10 under exponent 3 is inexact. The
+# ratio of the two equal powers is exactly 1.0, so sender 2's frame is
+# delivered.
+SQRT104_TIE = (
+    [(1, (0.0, 0.0)), (2, (2.0, 10.0)), (3, (10.0, 2.0))],
+    [
+        Transmission(3, (10.0, 2.0), Packet(3, ZONES[0], bytes([3]) * 4)),
+        Transmission(2, (2.0, 10.0), Packet(2, ZONES[0], bytes([2]) * 4)),
+    ],
+    [(1, (0.0, 0.0)), (2, (2.0, 10.0)), (3, (10.0, 2.0))],
+    ChannelConfig(comm_range=13.0, capture_threshold=0.0, path_loss_exponent=3.0),
+)
+
+
 def as_pairs(outcomes):
     return {rid: (o.kind, o.packet) for rid, o in outcomes.items()}
 
 
 @settings(max_examples=300, deadline=None)
 @given(slots())
+@example(SQRT104_TIE)
 def test_resolve_slot_matches_pairwise_reference(slot):
     stations, txs, receivers, cfg = slot
     want = reference(txs, receivers, cfg)

@@ -124,6 +124,23 @@ def test_run_stalled_scenario_exits_two(tmp_path, capsys):
     assert "converged=False" in capsys.readouterr().out
 
 
+def test_run_extreme_path_loss_runs_without_a_traceback(tmp_path, capsys):
+    # Under exponent 1000 every interferer's power is below 1e-300 of the
+    # strongest frame's, so its linear share underflows to 0: listener 1
+    # hears two frames and decodes the stronger.
+    cfg = ScenarioConfig(
+        channel=ChannelConfig(path_loss_exponent=1000.0),
+        vehicles=((1, (50.0, 50.0)), (2, (45.0, 50.0)), (3, (56.0, 50.0))),
+        initiators=(2, 3),
+    )
+    path = tmp_path / "steep.scenario"
+    save_scenario(cfg, path)
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path), "--trace"])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "trace.txt").read_text().startswith("slot 1 | tx 2,3 | 1:D2 ")
+
+
 def test_run_mac_override(tmp_path):
     main(["run", "--scenario", LINE3, "--out", str(tmp_path), "--mac", "csma"])
     assert (tmp_path / "metrics.csv").read_text().splitlines()[1].startswith("csma,")

@@ -10,12 +10,17 @@ would flip a cell.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import zonecast
 from zonecast import (
     BlockState,
     GridConfig,
@@ -34,19 +39,21 @@ RADII = (0.0, 0.5, 1.0, 2.0, 2.5)
 
 
 def reference_occluded_mask(viewer, centers, occluders):
-    """The occlusion rule, one occluder disc at a time."""
+    """The occlusion rule, one occluder disc at a time, in plain elementwise
+    float arithmetic."""
     occluded = np.zeros(len(centers), dtype=bool)
     seg = centers - viewer
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
+    sx, sy = seg[:, 0], seg[:, 1]
+    seg_len2 = sx * sx + sy * sy
     safe_len2 = np.where(seg_len2 == 0, 1.0, seg_len2)
     for pos, radius in occluders:
         if radius <= 0:
             continue
         q = np.asarray(pos, dtype=float)
-        w = q - viewer
-        if w @ w <= radius * radius:
+        wx, wy = q - viewer
+        if wx * wx + wy * wy <= radius * radius:
             continue  # viewer inside the disc: no clean shadow
-        t = np.clip((seg @ w) / safe_len2, 0.0, 1.0)
+        t = np.clip((sx * wx + sy * wy) / safe_len2, 0.0, 1.0)
         closest = viewer + t[:, None] * seg
         d2 = ((q - closest) ** 2).sum(axis=1)
         target_clear = ((centers - q) ** 2).sum(axis=1) > radius * radius
@@ -119,8 +126,12 @@ POINT_VEHICLES = GroundTruth(
 LONE_VIEWER = GroundTruth(vehicles=((7, (9.0, 11.0), 1.0),))
 # Decimal coordinates are inexact in binary, so a viewer on a disc's boundary
 # (|w| = 2.5 and 2.0 here) and the segments that graze the disc come out an
-# ulp either side of the radius, depending on whether the dot products fuse
-# their multiply-add the way BLAS does. Found by a search over decimal worlds.
+# ulp either side of the radius, depending on whether a dot product fuses its
+# multiply-add. Some BLAS kernels fuse it (OpenBLAS's SkylakeX does, for
+# stacked products); perception must not, on any machine. These worlds fail
+# against the unfused reference above wherever a fused product creeps into
+# perception, and test_perception_is_the_same_under_every_blas_kernel below
+# perceives them under each kernel. Found by a search over decimal worlds.
 DECIMAL_BOUNDARY = GroundTruth(
     objects=(((0.8, 5.4), 2.5),),
     vehicles=((1, (2.8, 3.9), 1.0),),
@@ -160,6 +171,51 @@ def test_perceive_matches_reference_off_the_lattice(spots, radius, objects):
         vehicles=tuple((i + 1, pos, radius) for i, pos in enumerate(spots)),
     )
     assert_every_viewer_matches(world, 25.0)
+
+
+# The core types a DYNAMIC_ARCH OpenBLAS can be forced to with
+# OPENBLAS_CORETYPE, each with the /proc/cpuinfo flag it needs.
+CORE_TYPES = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx"}
+
+# Prints, one line per viewer, the hex cell bytes every vehicle perceives in
+# each (objects, vehicles) world of argv[1].
+PERCEIVE_WORLDS = """
+import ast, sys
+from zonecast import GridConfig, GroundTruth, ZoneIndex, perceive
+grid = GridConfig(zone_side=20.0, block_side=2.0)
+for objects, vehicles in ast.literal_eval(sys.argv[1]):
+    world = GroundTruth(objects=objects, vehicles=vehicles)
+    for vid, pos, _ in vehicles:
+        print(perceive(vid, pos, world, ZoneIndex(0, 0), grid, 30.0).cells.tobytes().hex())
+"""
+
+
+def test_perception_is_the_same_under_every_blas_kernel():
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to tell which core types the CPU supports")
+    worlds = repr([(w.objects, w.vehicles) for w in (DECIMAL_BOUNDARY, DECIMAL_GRAZE)])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    src = str(Path(zonecast.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def perceived(coretype=None):
+        run_env = env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype}
+        return subprocess.run(
+            [sys.executable, "-c", PERCEIVE_WORLDS, worlds],
+            env=run_env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+
+    want = perceived()
+    assert len(want.split()) == 2
+    for coretype, flag in CORE_TYPES.items():
+        if flag in flags:
+            assert perceived(coretype) == want, coretype
 
 
 def test_own_disc_never_occludes_even_away_from_the_viewer():

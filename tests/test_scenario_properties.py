@@ -49,7 +49,6 @@ def configs(draw):
             comm_range=draw(positive),
             capture_threshold=draw(st.floats(0.0, 30.0)),
             path_loss_exponent=draw(positive),
-            reference_power=draw(finite),
         ),
         sensing_range=draw(positive),
         slot_duration_ms=draw(positive),

@@ -48,8 +48,10 @@ class ChannelConfig:
             raise ValueError("comm_range must be positive")
         if not self.capture_threshold >= 0:
             raise ValueError("capture_threshold must be non-negative")
-        if not self.path_loss_exponent > 0:
-            raise ValueError("path_loss_exponent must be positive")
+        # received_power scales the exponent by 10 * log10(d), and every
+        # positive double d has |log10(d)| < 324: below this no power overflows.
+        if not 0 < self.path_loss_exponent * 3240 < math.inf:
+            raise ValueError("path_loss_exponent must be positive and below about 5.5e304")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Simulation engine for one zone: scenario construction, one slot loop
 shared by two MACs, and seeded sweeps.
 
-A run is a sequence of barrier-phased slots. In each one the MAC decides
-who sends and what every vehicle hears; the slot loop applies the
-deliveries and writes the trace line. The slotted MAC resolves synchronized
-slots on the capture/constructive-interference channel; the CSMA baseline
-contends with random backoff and carrier sense. The run ends at the first
-silent slot — converged if every matrix is then identical, provably stalled
-otherwise (a capture-less collision can legitimately stall the exchange) —
-or at the max_slots safety cap (converged=False).
+A run is a sequence of barrier-phased slots. Each MAC is a generator that
+yields, per slot, who sent, what every vehicle heard and the latency so
+far; the slot loop applies the deliveries and writes the trace line. The
+slotted MAC resolves synchronized slots on the
+capture/constructive-interference channel; the CSMA baseline contends with
+random backoff and carrier sense. The run ends at the first silent slot —
+converged if every matrix is then identical, provably stalled otherwise (a
+capture-less collision can legitimately stall the exchange) — or at the
+max_slots safety cap (converged=False).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -257,18 +258,17 @@ def build_world(
     return zones.pop(), vehicles, world
 
 
-# A MAC takes the run's config, vehicles and link table and returns its slot
-# step and the run's latency given its last slot. The step sends one slot and
-# returns its transmissions and what each listed station heard, keyed by id in
-# trace order: the MAC decides, and _simulate delivers and writes the trace.
-Step = Callable[[], tuple[list[Transmission], dict[int, Outcome]]]
-Policy = tuple[Step, Callable[[int], float]]
-Mac = Callable[[ScenarioConfig, list[VehicleState], LinkTable], Policy]
+# A MAC is a generator function of the run's config, vehicles and link table.
+# Per slot it yields the transmissions sent, what each listed station heard,
+# keyed by id in trace order, and the run's latency so far: the MAC decides,
+# and _simulate delivers and writes the trace.
+Slot = tuple[list[Transmission], dict[int, Outcome], float]
+Mac = Callable[[ScenarioConfig, list[VehicleState], LinkTable], Iterator[Slot]]
 
 
 def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
-    """The slot loop both MACs share: it applies the deliveries the MAC's step
-    returns and writes each slot's trace line, headed ``word``. A slot is
+    """The slot loop both MACs share: it pulls the MAC's slots, applies their
+    deliveries and writes each one's trace line, headed ``word``. A slot is
     silent only when nobody is armed and then arms nobody, so the first one
     ends the run: converged if every matrix is identical, else stalled."""
     _, vehicles, world = build_world(cfg)
@@ -278,14 +278,15 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
         for s in states:
             s.pending_tx = s.id in chosen
     table = link_table([(s.id, s.position) for s in states], cfg.channel)
-    step, latency = mac(cfg, states, table)
+    slots = mac(cfg, states, table)
     max_slots = cfg.max_slots or min(10 * len(states), MAX_SLOTS_CAP)
     trace: list[str] = []
     converged = is_globally_converged(states)
     slot = last_tx = 0
+    latency = 0.0
     while not converged and slot < max_slots:
         slot += 1
-        txs, outcomes = step()
+        txs, outcomes, latency = next(slots)
         entries = []
         for rid, o in outcomes.items():
             if o.kind == DELIVERED:
@@ -304,7 +305,7 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
         converged=converged,
         last_tx_slot=last_tx,
         quiescent_slot=slot,
-        latency_ms=latency(slot),
+        latency_ms=latency,
         tx_slots={s.id: s.tx_slots for s in states},
         rx_slots={s.id: s.rx_slots for s in states},
         final_matrix=states[0].matrix.copy(),
@@ -312,17 +313,14 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
     )
 
 
-def _slotted(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Policy:
+def _slotted(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Iterator[Slot]:
     """Synchronized slots: every armed vehicle sends and resolve_slot decides
     what each station hears, listing every station by id. Latency is
-    quiescent_slot * slot_duration_ms."""
+    slot * slot_duration_ms."""
     stations = sorted((s.id, s.position) for s in states)
-
-    def step() -> tuple[list[Transmission], dict[int, Outcome]]:
-        txs = [t for t in map(on_slot_begin, states) if t is not None]
-        return txs, resolve_slot(txs, stations, cfg.channel, table)
-
-    return step, lambda slot: slot * cfg.slot_duration_ms
+    for slot in itertools.count(1):
+        txs = [on_slot_begin(s) for s in states if s.pending_tx]
+        yield txs, resolve_slot(txs, stations, cfg.channel, table), slot * cfg.slot_duration_ms
 
 
 def _backoffs(rng: np.random.Generator, cws: list[int]) -> list[int]:
@@ -333,7 +331,7 @@ def _backoffs(rng: np.random.Generator, cws: list[int]) -> list[int]:
     return rng.integers(0, np.array(cws, dtype=np.uint64)).tolist()
 
 
-def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Policy:
+def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Iterator[Slot]:
     """Contention rounds; see run_baseline. Station k is states[k] and
     table.links[k] its neighbours. A round lists, in states order, only the
     stations that heard a sole transmitter (delivered) or several (collision)."""
@@ -342,13 +340,12 @@ def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> 
     micro_ms = cfg.csma.micro_slot_us / 1000.0
     collision = Outcome(COLLISION)
     elapsed = 0.0
-
-    def step() -> tuple[list[Transmission], dict[int, Outcome]]:
-        nonlocal elapsed
+    while True:
         armed = [k for k, s in enumerate(states) if s.pending_tx]
         if not armed:
             elapsed += cfg.slot_duration_ms
-            return [], {}
+            yield [], {}, elapsed
+            continue
         # One draw per armed station, in states order; contend by (draw, id).
         draws = _backoffs(rng, [cw[k] for k in armed])
         order = sorted(zip(draws, [states[k].id for k in armed], armed))
@@ -373,9 +370,7 @@ def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> 
             got[k] = None  # half-duplex: a transmitter hears nothing
         outcomes = {s.id: o for s, o in zip(states, got) if o is not None}
         elapsed += cfg.slot_duration_ms + order[0][0] * micro_ms  # the first sender's draw
-        return txs, outcomes
-
-    return step, lambda rounds: elapsed
+        yield txs, outcomes, elapsed
 
 
 def run(cfg: ScenarioConfig) -> RunMetrics:

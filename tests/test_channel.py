@@ -231,3 +231,15 @@ def test_config_rejects_nan(field):
     # A NaN passes every `x <= 0` test; `not x > 0` rejects it.
     with pytest.raises(ValueError, match=field):
         ChannelConfig(**{field: math.nan})
+
+
+@pytest.mark.parametrize("exponent", [math.inf, 1e308, 6e304])
+def test_config_rejects_an_exponent_whose_powers_overflow(exponent):
+    with pytest.raises(ValueError, match="path_loss_exponent"):
+        ChannelConfig(path_loss_exponent=exponent)
+
+
+def test_largest_exponent_keeps_every_power_finite():
+    cfg = ChannelConfig(path_loss_exponent=5.5e304)
+    for d in (5e-324, 1.7976931348623157e308):
+        assert math.isfinite(received_power((0.0, 0.0), (d, 0.0), cfg))

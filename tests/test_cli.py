@@ -221,3 +221,25 @@ def test_bad_counts_list_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--counts", "3,x", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_run_seed_flag_overrides_the_scenario_seed(tmp_path):
+    assert main(["run", "--scenario", LINE3, "--out", str(tmp_path), "--seed", "5"]) == 0
+    row = (tmp_path / "metrics.csv").read_text().splitlines()[1]
+    assert row.startswith("l3,5,3,")
+
+
+def test_run_overflowing_path_loss_is_a_config_error(tmp_path, capsys):
+    # At exponent 1e308 every received power is -inf and each capture ratio
+    # -inf - -inf = nan, so listener 1 would record a collision.
+    path = tmp_path / "overflow.scenario"
+    path.write_text(
+        "channel: {path_loss_exponent: 1.0e+308}\n"
+        "vehicles: [{id: 1, pos: [50, 50]}, {id: 2, pos: [45, 50]}, {id: 3, pos: [56, 50]}]\n"
+        "initiators: [2, 3]\n"
+    )
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "path_loss_exponent" in err
+    assert "Traceback" not in err

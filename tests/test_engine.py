@@ -18,6 +18,7 @@ from zonecast import (
     SWEEP_COLUMNS,
     build_world,
     bundled_scenario,
+    engine,
     load_scenario,
     run,
     sweep,
@@ -558,3 +559,22 @@ def test_default_scenario_stalls_at_slot_2(seed):
     assert m.quiescent_slot == 2 and m.last_tx_slot == 1
     assert set(m.tx_slots.values()) == {1}
     assert set(m.rx_slots.values()) == {0}
+
+
+def test_connected_placement_farther_apart_than_comm_range_is_rejected():
+    cfg = ScenarioConfig(
+        channel=ChannelConfig(comm_range=20.0), placement=Placement(3, min_separation=25.0)
+    )
+    with pytest.raises(ConfigError, match="exceeds comm_range"):
+        build_world(cfg)
+
+
+def test_placement_gives_up_after_its_retry_budget(monkeypatch):
+    # 12 points 4 m apart pass Oler's bound for a 10 m square, but the best
+    # spread of 12 there is about 3.89 m; 50 draws per attempt keeps it fast.
+    monkeypatch.setattr(engine, "_DRAWS_PER_ATTEMPT", 50)
+    cfg = ScenarioConfig(
+        placement=Placement(12, area=(0.0, 0.0, 10.0, 10.0), min_separation=4.0, connected=False)
+    )
+    with pytest.raises(ConfigError, match="could not place 12 vehicles"):
+        build_world(cfg)

@@ -127,3 +127,9 @@ def test_block_centers_spacing_is_block_side():
     ys = c[::n, 1]
     assert np.allclose(np.diff(ys), g.block_side)
     assert math.isclose(c[0, 0], g.block_side / 2)
+
+
+@pytest.mark.parametrize("p", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)])
+def test_locate_zone_rejects_non_finite_positions(p):
+    with pytest.raises(ValueError, match="non-finite"):
+        locate_zone(p, GridConfig())

@@ -216,3 +216,13 @@ def test_writer_takes_plain_tuples_and_writes_field_order():
         "vehicle_radius", "objects", "initiators", "mac_mode", "seed", "csma",
     ]
     assert parse_scenario("objects: [{pos: [3, 4]}]").objects[0].radius == 1.0
+
+
+def test_a_record_must_be_a_mapping():
+    with pytest.raises(ConfigError, match="channel: expected a mapping, got int"):
+        parse_scenario("channel: 5\n")
+
+
+def test_explicit_null_leaves_an_optional_unset():
+    assert parse_scenario("max_slots: null\n").max_slots is None
+    assert parse_scenario("max_slots: 7\n").max_slots == 7

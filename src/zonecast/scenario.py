@@ -126,7 +126,7 @@ def _write(tp: Any, value: Any) -> Any:
 def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioConfig:
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError(f"{name}: parse error{where}: {exc}") from exc
@@ -137,7 +137,7 @@ def load_scenario(path: Union[str, Path]) -> ScenarioConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     return parse_scenario(text, name=str(path))
 

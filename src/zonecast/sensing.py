@@ -255,6 +255,7 @@ class _WorldView(NamedTuple):
 
 
 @lru_cache(maxsize=1)
+@np.errstate(over="ignore")  # radii near the float limit square to inf
 def _world_view(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> _WorldView:
     """Build a world's ``_WorldView``. None of it depends on the viewer, and
     the engine perceives one world at a time, so one cache entry lets every
@@ -279,6 +280,7 @@ def _world_view(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> _WorldV
     return view
 
 
+@np.errstate(over="ignore")  # an overflowed square compares as inf, as intended
 def _hidden(
     self_id: int,
     viewer: np.ndarray,

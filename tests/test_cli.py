@@ -1,5 +1,7 @@
 """End-to-end tests for the zonecast command-line interface."""
 
+import warnings
+
 import pytest
 
 from zonecast import (
@@ -243,3 +245,84 @@ def test_run_overflowing_path_loss_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "path_loss_exponent" in err
     assert "Traceback" not in err
+
+
+COMMANDS = {
+    "run": ["run", "--out", "<out>"],
+    "dump-matrix": ["dump-matrix", "--vehicle", "1"],
+    "sweep": ["sweep", "--counts", "3", "--trials", "1", "--out", "<out>"],
+}
+
+
+def _fails_cleanly(argv, out, capsys, message):
+    assert main([str(out) if arg == "<out>" else arg for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_non_utf8_scenario_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "latin.scenario"
+    path.write_bytes(b"seed: 1\n\xff\xfe\n")
+    argv = COMMANDS[command] + ["--scenario", str(path)]
+    _fails_cleanly(argv, tmp_path / "out", capsys, f"cannot read scenario {path}")
+
+
+def test_too_deeply_nested_scenario_is_a_parse_error(tmp_path, capsys):
+    # One command only: YAML takes about a second to scan this far, and every
+    # command reads its scenario through the same parser.
+    path = tmp_path / "deep.scenario"
+    path.write_text("seed: " + "[" * 3000 + "]" * 3000 + "\n")
+    argv = COMMANDS["run"] + ["--scenario", str(path)]
+    _fails_cleanly(argv, tmp_path / "out", capsys, f"{path}: parse error")
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--counts", "3", "--trials", "0"], "trials must be >= 1"),
+        (["--counts", "1000"], "counts must be <= 999"),
+        (["--counts", "3", "--trials", "1", "--seed", "-1"], "seed must be non-negative"),
+    ],
+)
+def test_failed_sweep_writes_nothing(tmp_path, capsys, extra, message):
+    _fails_cleanly(["sweep", "--out", "<out>"] + extra, tmp_path / "out", capsys, message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", LINE3],
+        ["sweep", "--counts", "3", "--trials", "1"],
+    ],
+)
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write to {out}" in err
+    assert "Traceback" not in err
+    assert out.read_text() == "keep me\n"
+
+
+def test_scenario_near_the_float_limit_runs_without_a_warning(tmp_path, capsys):
+    # The squared radii and distances of the occlusion test overflow to inf
+    # here, which the test is written to allow: no numpy warning is printed.
+    path = tmp_path / "huge.scenario"
+    path.write_text(
+        "grid: {zone_side: 1.0e+300, block_side: 1.0e+298}\n"
+        "channel: {comm_range: 1.0e+300}\n"
+        "sensing_range: 1.0e+300\n"
+        "vehicle_radius: 1.0e+297\n"
+        "vehicles: [{id: 1, pos: [1.0e+299, 1.0e+299]}, {id: 2, pos: [5.0e+299, 5.0e+299]},"
+        " {id: 3, pos: [9.0e+299, 1.0e+299]}]\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in capsys.readouterr().err

@@ -6,8 +6,8 @@
     zonecast dump-matrix --scenario fig5.scenario --vehicle 1
 
 Exit codes: 0 converged, 1 configuration/usage error, 2 non-convergence.
-A configuration error, an unreadable scenario or an unwritable --out exits 1
-with ``error: ...`` and no traceback, and writes nothing.
+A usage or configuration error, an unreadable scenario or an unwritable --out
+exits 1 with ``error: ...`` and no traceback, and writes nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .engine import ConfigError, ScenarioConfig, build_world, run, sweep, sweep_csv
 from .presets import PRESETS, SweepPreset
@@ -106,8 +106,15 @@ def _parse_counts(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad counts list {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigErrors; subparsers inherit the class."""
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zonecast",
         description="Simulate slotted broadcast sharing of zone sensing matrices.",
     )
@@ -142,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -342,10 +342,6 @@ def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> 
     elapsed = 0.0
     while True:
         armed = [k for k, s in enumerate(states) if s.pending_tx]
-        if not armed:
-            elapsed += cfg.slot_duration_ms
-            yield [], {}, elapsed
-            continue
         # One draw per armed station, in states order; contend by (draw, id).
         draws = _backoffs(rng, [cw[k] for k in armed])
         order = sorted(zip(draws, [states[k].id for k in armed], armed))
@@ -369,7 +365,8 @@ def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> 
             states[k].pending_tx = collided  # retry after a collision
             got[k] = None  # half-duplex: a transmitter hears nothing
         outcomes = {s.id: o for s, o in zip(states, got) if o is not None}
-        elapsed += cfg.slot_duration_ms + order[0][0] * micro_ms  # the first sender's draw
+        # The first sender's draw; a round with nobody armed lasts one slot.
+        elapsed += cfg.slot_duration_ms + (order[0][0] * micro_ms if order else 0)
         yield txs, outcomes, elapsed
 
 

@@ -47,6 +47,9 @@ class GridConfig:
                 f"zone_side ({self.zone_side}) must be an integer multiple of "
                 f"block_side ({self.block_side})"
             )
+        # At most 2**20 cells: a 256 KiB payload, or ~0.1 m blocks in a 100 m zone.
+        if round(ratio) > 1024:
+            raise ValueError(f"zone_side / block_side must be <= 1024, got {round(ratio)}")
 
     @property
     def blocks_per_side(self) -> int:

@@ -17,9 +17,9 @@ and ``copy``'s, hold two-bit values by construction, so they are wrapped by
 applies to cells from outside.
 
 Perception is synthetic: ``perceive`` reads a ``GroundTruth`` of disc objects
-and vehicles. What does not depend on the viewer is built once per world and
-shared by every vehicle (``_world_view``): the zone's block centres, the mask
-of occupied blocks and the occluder disc arrays. A world with no disc of
+and vehicles. What does not depend on the viewer is built once per world,
+kept on the world and shared by every vehicle (``_world_view``): the zone's
+block centres, occupied blocks and occluder discs. A world with no disc of
 radius > 0 skips the occlusion test altogether; otherwise ``_hidden`` tests
 every disc within reach of the viewer at once against the block centres in
 sensing range, reproducing the float results of the rule applied to one
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -221,10 +220,6 @@ class GroundTruth:
     vehicles: (id, (x, y) position, radius) triples. Vehicles are both
     detectable objects and occluders for everyone else's view. A radius of 0
     means a point vehicle that never occludes.
-
-    The hash is computed once, at construction: every ``perceive`` looks the
-    world up in ``_world_view``'s cache, and rehashing all N vehicles there
-    would cost O(N^2) per world.
     """
 
     objects: tuple[tuple[Position, float], ...] = ()
@@ -235,10 +230,8 @@ class GroundTruth:
             raise ValueError("object radii must be positive")
         if any(not r >= 0 for _, _, r in self.vehicles):
             raise ValueError("vehicle radii must be non-negative")
-        object.__setattr__(self, "_hash", hash((self.objects, self.vehicles)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        # (zone, grid) -> _WorldView, filled by perceive; not a field.
+        object.__setattr__(self, "_views", {})
 
 
 class _WorldView(NamedTuple):
@@ -254,13 +247,10 @@ class _WorldView(NamedTuple):
     owner: np.ndarray  # (M,) vehicle id, None for an object
 
 
-@lru_cache(maxsize=1)
 @np.errstate(over="ignore")  # radii near the float limit square to inf
 def _world_view(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> _WorldView:
-    """Build a world's ``_WorldView``. None of it depends on the viewer, and
-    the engine perceives one world at a time, so one cache entry lets every
-    vehicle share one. A radius-0 vehicle never occludes and is left out, so
-    a world of point vehicles without objects has no discs at all."""
+    """Build the ``_WorldView`` all viewers share. A radius-0 vehicle never
+    occludes, so a world of point vehicles without objects has no discs."""
     n = cfg.blocks_per_side
     centers = block_centers(zone, cfg)
     occupied = np.zeros(n * n, dtype=bool)
@@ -366,12 +356,15 @@ def perceive(
     Per block center: beyond sensing_range -> OUT_OF_SENSING; hidden behind an
     occluder (any object, or any vehicle other than self) -> UNCERTAIN; else
     OBJECT when some object or vehicle center lies in the block, NO_OBJECT
-    otherwise. The vehicle's own block reports OBJECT.
+    otherwise. The vehicle's own block follows the same rules, so it reads
+    OBJECT unless its center is out of range or hidden by another disc.
     """
     if locate_zone(self_pos, cfg) != zone:
         raise OutOfZoneError(f"vehicle {self_id} at {self_pos!r} is outside zone {tuple(zone)}")
     n = cfg.blocks_per_side
-    view = _world_view(world, zone, cfg)
+    view = world._views.get((zone, cfg))
+    if view is None:
+        view = world._views[(zone, cfg)] = _world_view(world, zone, cfg)
     centers = view.centers
     viewer = np.asarray(self_pos, dtype=float)
     dist = np.hypot(centers[:, 0] - viewer[0], centers[:, 1] - viewer[1])

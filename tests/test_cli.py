@@ -219,10 +219,36 @@ def test_sweep_negative_seed_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_bad_counts_list_is_a_usage_error(tmp_path):
+def test_bad_counts_list_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--counts", "3,x", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: argument --counts: bad counts list '3,x'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--out", "{out}"],
+        ["sweep", "--preset", "paper-fig7", "--trials", "x", "--out", "{out}"],
+        [],
+    ],
+    ids=["run-without-scenario", "bad-trials", "no-command"],
+)
+def test_usage_errors_exit_one(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([a.format(out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: zonecast") and "\nerror: " in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--counts", "3,x", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--preset" in capsys.readouterr().out
 
 
 def test_run_seed_flag_overrides_the_scenario_seed(tmp_path):
@@ -306,6 +332,19 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, argv):
     assert f"error: cannot write to {out}" in err
     assert "Traceback" not in err
     assert out.read_text() == "keep me\n"
+
+
+def test_grid_too_fine_to_hold_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "fine.scenario"
+    path.write_text(
+        "grid: {zone_side: 1.0e+7, block_side: 1.0}\n"
+        "vehicles: [{id: 1, pos: [1, 1]}, {id: 2, pos: [5, 5]}]\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_scenario_near_the_float_limit_runs_without_a_warning(tmp_path, capsys):

@@ -35,6 +35,12 @@ def test_block_side_must_divide_zone_side():
     assert GridConfig(zone_side=100.0, block_side=0.5).blocks_per_side == 200
 
 
+def test_zone_holds_at_most_1024_blocks_per_side():
+    assert GridConfig(zone_side=1024.0, block_side=1.0).blocks_per_side == 1024
+    with pytest.raises(ValueError, match="must be <= 1024, got 1025"):
+        GridConfig(zone_side=1025.0, block_side=1.0)
+
+
 def test_locate_zone_quadrants_and_negative_coordinates():
     g = GridConfig()
     assert locate_zone((0.0, 0.0), g) == ZoneIndex(0, 0)

@@ -6,7 +6,9 @@ pen and paper.
 """
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -145,6 +147,32 @@ def test_equal_worlds_hash_and_compare_equal():
     moved = dataclasses.replace(a, vehicles=vehicles[:1])
     assert moved != a and hash(moved) == hash((moved.objects, moved.vehicles))
     assert len({a, b, moved}) == 2
+
+
+def test_perceived_world_is_freed_with_its_last_reference():
+    # The arrays every viewer shares live on the world, not in a module cache.
+    world = GroundTruth(vehicles=((1, (2.5, 2.5), 1.0), (2, (7.5, 7.5), 1.0)))
+    perceive(1, (2.5, 2.5), world, Z, G, sensing_range=20.0)
+    ref = weakref.ref(world)
+    del world
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize(
+    "vehicles, sensing_range, own",
+    [
+        (((1, (0.5, 0.5), 0.3),), 20.0, OBJ),
+        # vehicle 2's disc lies on the segment to the own block's centre
+        (((1, (0.5, 0.5), 0.3), (2, (1.2, 1.2), 0.3)), 20.0, UNC),
+        # the own block's centre (2.5, 2.5) is 2.83 m away
+        (((1, (0.5, 0.5), 0.3),), 1.0, OUT),
+    ],
+)
+def test_own_block_follows_the_same_rules_as_any_block(vehicles, sensing_range, own):
+    world = GroundTruth(vehicles=vehicles)
+    mat = perceive(1, (0.5, 0.5), world, Z, G, sensing_range=sensing_range)
+    assert int(mat.cells[0, 0]) == own
 
 
 @pytest.mark.parametrize(

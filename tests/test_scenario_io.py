@@ -165,6 +165,7 @@ def test_missing_file_is_a_config_error(tmp_path):
         ("placement: {count: 3, area: [0, 0, .inf, 10]}", r"placement\.area\[2\]: expected"),
         ("sensing_range: 1" + "0" * 400, "sensing_range: expected a finite"),
         ("grid: {zone_side: 1.0e+308, block_side: 1.0e-10}", "grid: zone_side"),
+        ("grid: {zone_side: 1.0e+7, block_side: 1.0}", "grid: .* must be <= 1024, got 10000000"),
     ],
 )
 def test_out_of_range_values_are_config_errors(text, message):

@@ -13,7 +13,7 @@ from .channel import (
     DegenerateGeometryError,
     InvalidSlotError,
     Packet,
-    Transmission,
+    link_table,
     received_power,
     resolve_slot,
 )

@@ -34,7 +34,8 @@ class DegenerateGeometryError(ValueError):
 
 
 class InvalidSlotError(ValueError):
-    """A slot contained two transmissions from the same sender."""
+    """A slot's packets name a sender twice or one that is not a station, or
+    a link table lists a station id twice."""
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,6 @@ class Packet:
     sender: int
     zone: ZoneIndex
     payload: bytes
-
-
-@dataclass(frozen=True)
-class Transmission:
-    sender: int
-    sender_pos: Position
-    packet: Packet
 
 
 @dataclass(frozen=True)
@@ -110,29 +104,29 @@ def link_table(stations: list[tuple[int, Position]], cfg: ChannelConfig) -> Link
 
     math.dist is symmetric, so each unordered pair is measured once and
     linked both ways; received_power is called only for in-range pairs.
-    Raises DegenerateGeometryError for two stations at one position.
+    Raises InvalidSlotError for a station id listed twice and
+    DegenerateGeometryError for two stations at one position.
     """
+    index = {sid: k for k, (sid, _) in enumerate(stations)}
+    if len(index) != len(stations):
+        raise InvalidSlotError("duplicate station id in link table")
     links: list[dict[int, float]] = [{} for _ in stations]
     for (i, rpos), (j, spos) in itertools.combinations(enumerate(p for _, p in stations), 2):
         if math.dist(spos, rpos) <= cfg.comm_range:
             links[i][j] = links[j][i] = received_power(spos, rpos, cfg)
-    return LinkTable({sid: k for k, (sid, _) in enumerate(stations)}, links)
+    return LinkTable(index, links)
 
 
 _SILENT = Outcome(SILENCE)
 _COLLIDED = Outcome(COLLISION)
 
 
-def resolve_slot(
-    txs: list[Transmission],
-    receivers: list[tuple[int, Position]],
-    cfg: ChannelConfig,
-    table: Optional[LinkTable] = None,
-) -> dict[int, Outcome]:
-    """Decide what every receiver hears in one slot.
+def resolve_slot(packets: list[Packet], table: LinkTable, cfg: ChannelConfig) -> dict[int, Outcome]:
+    """Decide what every station of ``table`` hears in one slot, keyed by id
+    in ascending order.
 
     Byte-identical packets form one constructively interfering group. A
-    receiver hears a group through its linked members, those within
+    listener hears a group through its linked members, those within
     comm_range, and the group's power there is its strongest linked member's
     (ties go to the lowest sender id); a member out of range never counts,
     even when a float tie across the range edge gives it the same power. The
@@ -140,42 +134,39 @@ def resolve_slot(
     it, ``10**((p - strongest)/10)`` summed in rank order, come to at most
     ``10**(-capture_threshold/10)``; else the slot is a collision. No ratio
     exceeds 1 and an exact tie is 1.0 on any libm. Senders are half-duplex
-    and always hear silence.
-
-    ``table`` must cover every receiver and sender; engines pass one built
-    per run. Without it the slot tabulates its listeners and senders with
-    link_table, so two stations at one position anywhere in the slot raise
-    DegenerateGeometryError.
+    and always hear silence. Raises InvalidSlotError for a sender named twice
+    or not a station of the table.
     """
-    senders = {t.sender for t in txs}
-    if len(senders) != len(txs):
+    senders = {pkt.sender for pkt in packets}
+    if len(senders) != len(packets):
         raise InvalidSlotError("duplicate sender id in slot")
-    outcomes = {rid: _SILENT for rid, _ in receivers}
-    listeners = [(rid, rpos) for rid, rpos in receivers if rid not in senders]
-    if not txs or not listeners:
+    unknown = senders - table.index.keys()
+    if unknown:
+        raise InvalidSlotError(f"senders {sorted(unknown)} are not stations of the link table")
+    stations = sorted(table.index.items())
+    outcomes = {sid: _SILENT for sid, _ in stations}
+    if not packets or len(packets) == len(stations):  # nobody sends or nobody listens
         return outcomes
-    if table is None:
-        table = link_table(listeners + [(t.sender, t.sender_pos) for t in txs], cfg)
 
-    # Per station and audible group, the (power, transmission) of its strongest
+    # Per station and audible group, the (power, packet) of its strongest
     # linked member; senders go by ascending id, so strict > keeps the lowest.
     groups: dict[tuple[ZoneIndex, bytes], int] = {}
-    heard: list[dict[int, tuple[float, Transmission]]] = [{} for _ in table.links]
-    for t in sorted(txs, key=lambda t: t.sender):
-        g = groups.setdefault((t.packet.zone, t.packet.payload), len(groups))
-        for k, p in table.links[table.index[t.sender]].items():
+    heard: list[dict[int, tuple[float, Packet]]] = [{} for _ in table.links]
+    for pkt in sorted(packets, key=lambda pkt: pkt.sender):
+        g = groups.setdefault((pkt.zone, pkt.payload), len(groups))
+        for k, p in table.links[table.index[pkt.sender]].items():
             best = heard[k]
             if g not in best or p > best[g][0]:
-                best[g] = (p, t)
+                best[g] = (p, pkt)
     bound = 10.0 ** (-cfg.capture_threshold / 10.0)
-    for rid, _ in listeners:
-        got = heard[table.index[rid]]
-        if not got:
+    for rid, k in stations:
+        got = heard[k]
+        if not got or rid in senders:
             continue
-        ranked = sorted(got.values(), key=lambda pt: (-pt[0], pt[1].sender))
-        (strongest, t), others = ranked[0], ranked[1:]
+        ranked = sorted(got.values(), key=lambda pp: (-pp[0], pp[1].sender))
+        (strongest, pkt), others = ranked[0], ranked[1:]
         if sum(10.0 ** ((p - strongest) / 10.0) for p, _ in others) <= bound:
-            outcomes[rid] = Outcome(DELIVERED, t.packet)
+            outcomes[rid] = Outcome(DELIVERED, pkt)
         else:
             outcomes[rid] = _COLLIDED
     return outcomes

@@ -29,7 +29,7 @@ from .channel import (
     ChannelConfig,
     LinkTable,
     Outcome,
-    Transmission,
+    Packet,
     link_table,
     resolve_slot,
 )
@@ -244,7 +244,12 @@ def build_world(
         other = seen.setdefault(tuple(pos), vid)
         if other != vid:
             raise ConfigError(f"vehicles {other} and {vid} share position {tuple(pos)}")
-    zones = {locate_zone(pos, cfg.grid) for _, pos in vehicles}
+    try:
+        zones = {locate_zone(pos, cfg.grid) for _, pos in vehicles}
+        for pos, _ in cfg.objects:  # perception locates every object too
+            locate_zone(pos, cfg.grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if len(zones) != 1:
         raise ConfigError(f"all vehicles must share one zone; got {sorted(zones)}")
     if cfg.initiators is not None:
@@ -259,10 +264,10 @@ def build_world(
 
 
 # A MAC is a generator function of the run's config, vehicles and link table.
-# Per slot it yields the transmissions sent, what each listed station heard,
+# Per slot it yields the packets sent, what each listed station heard,
 # keyed by id in trace order, and the run's latency so far: the MAC decides,
 # and _simulate delivers and writes the trace.
-Slot = tuple[list[Transmission], dict[int, Outcome], float]
+Slot = tuple[list[Packet], dict[int, Outcome], float]
 Mac = Callable[[ScenarioConfig, list[VehicleState], LinkTable], Iterator[Slot]]
 
 
@@ -315,12 +320,10 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
 
 def _slotted(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Iterator[Slot]:
     """Synchronized slots: every armed vehicle sends and resolve_slot decides
-    what each station hears, listing every station by id. Latency is
-    slot * slot_duration_ms."""
-    stations = sorted((s.id, s.position) for s in states)
+    what each station of the table hears. Latency is slot * slot_duration_ms."""
     for slot in itertools.count(1):
         txs = [on_slot_begin(s) for s in states if s.pending_tx]
-        yield txs, resolve_slot(txs, stations, cfg.channel, table), slot * cfg.slot_duration_ms
+        yield txs, resolve_slot(txs, table, cfg.channel), slot * cfg.slot_duration_ms
 
 
 def _backoffs(rng: np.random.Generator, cws: list[int]) -> list[int]:
@@ -355,8 +358,8 @@ def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> 
         # Per station, what the transmitters in range give it (a station is
         # never its own neighbour): the sole one's packet, or a collision.
         got: list[Optional[Outcome]] = [None] * len(states)
-        for k, t in zip(sent, txs):
-            delivered = Outcome(DELIVERED, t.packet)
+        for k, pkt in zip(sent, txs):
+            delivered = Outcome(DELIVERED, pkt)
             for r in table.links[k]:
                 got[r] = delivered if got[r] is None else collision
         for k in sent:

@@ -56,18 +56,17 @@ class GridConfig:
         return round(self.zone_side / self.block_side)
 
 
-def _require_finite(p: Position) -> None:
-    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-        raise ValueError(f"position {p!r} has non-finite coordinates")
-
-
 def locate_zone(p: Position, g: GridConfig) -> ZoneIndex:
-    """Zone containing position p."""
-    _require_finite(p)
-    return ZoneIndex(
-        math.floor((p[0] - g.origin[0]) / g.zone_side),
-        math.floor((p[1] - g.origin[1]) / g.zone_side),
-    )
+    """Zone containing position p.
+
+    Raises ValueError when p is not finite or its offset from the grid
+    origin, in zones, overflows a double.
+    """
+    col = (p[0] - g.origin[0]) / g.zone_side
+    row = (p[1] - g.origin[1]) / g.zone_side
+    if not (math.isfinite(col) and math.isfinite(row)):
+        raise ValueError(f"position {p!r} lies a non-finite number of zones from {g.origin!r}")
+    return ZoneIndex(math.floor(col), math.floor(row))
 
 
 def locate_block(p: Position, z: ZoneIndex, g: GridConfig) -> BlockIndex:

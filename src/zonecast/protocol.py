@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .channel import Packet, Transmission
+from .channel import Packet
 from .grid import GridConfig, Position, locate_zone
 from .sensing import (
     GroundTruth,
@@ -50,8 +50,8 @@ def init_vehicle(
     return VehicleState(vid, pos, matrix, pending_tx=has_uncertain(matrix))
 
 
-def on_slot_begin(v: VehicleState) -> Optional[Transmission]:
-    """Emit this slot's transmission, if one is pending.
+def on_slot_begin(v: VehicleState) -> Optional[Packet]:
+    """Emit this slot's packet, if one is pending.
 
     The packet snapshots the current matrix; the pending flag is consumed so
     a vehicle sends at most once per change.
@@ -60,8 +60,7 @@ def on_slot_begin(v: VehicleState) -> Optional[Transmission]:
         return None
     v.pending_tx = False
     v.tx_slots += 1
-    pkt = Packet(v.id, v.matrix.zone, encode(v.matrix))
-    return Transmission(v.id, v.position, pkt)
+    return Packet(v.id, v.matrix.zone, encode(v.matrix))
 
 
 def on_delivery(v: VehicleState, pkt: Packet) -> None:

@@ -21,10 +21,10 @@ from zonecast import (
     DegenerateGeometryError,
     InvalidSlotError,
     Packet,
-    Transmission,
     ZoneIndex,
     bundled_scenario,
     channel,
+    link_table,
     load_scenario,
     received_power,
     resolve_slot,
@@ -35,8 +35,13 @@ Z = ZoneIndex(0, 0)
 CFG = ChannelConfig()  # 100 m range, 3 dB margin, exponent 2
 
 
-def tx(sender, pos, payload=b"\x01" * 100):
-    return Transmission(sender, pos, Packet(sender, Z, payload))
+def pkt(sender, payload=b"\x01" * 100):
+    return Packet(sender, Z, payload)
+
+
+def resolve(stations, packets, cfg=CFG):
+    """Resolve one slot over a link table of ``stations``, {id: position}."""
+    return resolve_slot(packets, link_table(list(stations.items()), cfg), cfg)
 
 
 def test_received_power_log_distance_values():
@@ -56,7 +61,7 @@ def test_zero_distance_is_degenerate():
 
 
 def test_single_sender_reaches_everyone_in_range():
-    out = resolve_slot([tx(1, (0, 0))], [(1, (0, 0)), (2, (15, 0)), (3, (0, 40))], CFG)
+    out = resolve({1: (0, 0), 2: (15, 0), 3: (0, 40)}, [pkt(1)])
     assert out[1].kind == SILENCE  # transmitters hear nothing
     assert out[2].kind == DELIVERED and out[2].packet.sender == 1
     assert out[3].kind == DELIVERED
@@ -64,42 +69,32 @@ def test_single_sender_reaches_everyone_in_range():
 
 def test_closer_sender_captures_when_margin_clears_threshold():
     # margin 9.54 dB >= 3 dB: the 15 m frame is decoded despite the 45 m one
-    txs = [tx(2, (15, 0), b"\x02" * 100), tx(3, (45, 0), b"\x03" * 100)]
-    out = resolve_slot(txs, [(1, (0, 0))], CFG)
+    stations = {1: (0, 0), 2: (15, 0), 3: (45, 0)}
+    out = resolve(stations, [pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100)])
     assert out[1].kind == DELIVERED
     assert out[1].packet.sender == 2
 
 
 def test_sum_of_interferers_blocks_capture():
     # 10 m strongest vs two 17 m interferers: margin 1.60 dB < 3 dB
-    txs = [
-        tx(2, (10, 0), b"\x02" * 100),
-        tx(3, (0, 17), b"\x03" * 100),
-        tx(4, (0, -17), b"\x04" * 100),
-    ]
-    out = resolve_slot(txs, [(1, (0, 0))], CFG)
+    packets = [pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100), pkt(4, b"\x04" * 100)]
+    out = resolve({1: (0, 0), 2: (10, 0), 3: (0, 17), 4: (0, -17)}, packets)
     assert out[1].kind == COLLISION
     # at 20 m the same pair sums 3.01 dB below the strongest: just enough
-    txs = [
-        tx(2, (10, 0), b"\x02" * 100),
-        tx(3, (0, 20), b"\x03" * 100),
-        tx(4, (0, -20), b"\x04" * 100),
-    ]
-    out = resolve_slot(txs, [(1, (0, 0))], CFG)
+    out = resolve({1: (0, 0), 2: (10, 0), 3: (0, 20), 4: (0, -20)}, packets)
     assert out[1].kind == DELIVERED
     assert out[1].packet.sender == 2
 
 
 def test_equidistant_different_payloads_collide():
-    txs = [tx(2, (10, 0), b"\x02" * 100), tx(3, (-10, 0), b"\x03" * 100)]
-    out = resolve_slot(txs, [(1, (0, 0))], CFG)
+    stations = {1: (0, 0), 2: (10, 0), 3: (-10, 0)}
+    out = resolve(stations, [pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100)])
     assert out[1].kind == COLLISION
 
 
 def test_identical_payloads_combine_instead_of_colliding():
     payload = b"\x2a" * 100
-    txs = [tx(2, (10, 0), payload), tx(3, (-10, 0), payload)]
-    out = resolve_slot(txs, [(1, (0, 0))], CFG)
+    out = resolve({1: (0, 0), 2: (10, 0), 3: (-10, 0)}, [pkt(2, payload), pkt(3, payload)])
     assert out[1].kind == DELIVERED
     assert out[1].packet.payload == payload
 
@@ -109,25 +104,22 @@ def test_identical_frame_group_power_is_its_best_member():
     # (-22.92 dB) is 2.92 dB down, below the 3 dB margin -> collision. Moving
     # 4 to 15 m (-23.52 dB) lifts the margin to 3.52 dB -> the group wins.
     payload = b"\x2a" * 100
-    txs = [
-        tx(2, (10, 0), payload),
-        tx(3, (0, 30), payload),
-        tx(4, (0, -14), b"\x04" * 100),
-    ]
-    assert resolve_slot(txs, [(1, (0, 0))], CFG)[1].kind == COLLISION
-    txs[2] = tx(4, (0, -15), b"\x04" * 100)
-    out = resolve_slot(txs, [(1, (0, 0))], CFG)
+    packets = [pkt(2, payload), pkt(3, payload), pkt(4, b"\x04" * 100)]
+    stations = {1: (0, 0), 2: (10, 0), 3: (0, 30), 4: (0, -14)}
+    assert resolve(stations, packets)[1].kind == COLLISION
+    stations[4] = (0, -15)
+    out = resolve(stations, packets)
     assert out[1].kind == DELIVERED
     assert out[1].packet.payload == payload
 
 
 def test_out_of_range_transmissions_neither_deliver_nor_interfere():
-    txs = [tx(2, (10, 0), b"\x02" * 100), tx(3, (150, 0), b"\x03" * 100)]
-    out = resolve_slot(txs, [(1, (0, 0))], CFG)
+    stations = {1: (0, 0), 2: (10, 0), 3: (150, 0)}
+    out = resolve(stations, [pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100)])
     assert out[1].kind == DELIVERED
     assert out[1].packet.sender == 2
     # with only the far transmitter the slot is silent, not a collision
-    out = resolve_slot([tx(3, (150, 0))], [(1, (0, 0))], CFG)
+    out = resolve(stations, [pkt(3)])
     assert out[1].kind == SILENCE
 
 
@@ -137,20 +129,18 @@ def test_group_power_counts_only_in_range_members():
     # only through sender 2, so the frame delivered is sender 2's.
     edge = ChannelConfig(comm_range=20.0, path_loss_exponent=3.0)
     payload = b"\x2a" * 100
-    far = tx(1, (0.0, math.nextafter(20.0, math.inf)), payload)
-    near = tx(2, (20.0, 0.0), payload)
-    assert received_power(far.sender_pos, (0, 0), edge) == received_power(
-        near.sender_pos, (0, 0), edge
-    )
-    out = resolve_slot([far, near], [(3, (0.0, 0.0))], edge)
+    far, near = (0.0, math.nextafter(20.0, math.inf)), (20.0, 0.0)
+    assert received_power(far, (0, 0), edge) == received_power(near, (0, 0), edge)
+    stations = {1: far, 2: near, 3: (0.0, 0.0)}
+    out = resolve(stations, [pkt(1, payload), pkt(2, payload)], edge)
     assert out[3].kind == DELIVERED and out[3].packet.sender == 2
-    assert resolve_slot([far], [(3, (0.0, 0.0))], edge)[3].kind == SILENCE
+    assert resolve(stations, [pkt(1, payload)], edge)[3].kind == SILENCE
 
 
 def test_zero_threshold_delivers_any_strictly_stronger_frame():
     lax = ChannelConfig(capture_threshold=0.0)
-    txs = [tx(2, (10, 0), b"\x02" * 100), tx(3, (10.5, 0.0001), b"\x03" * 100)]
-    out = resolve_slot(txs, [(1, (0, 0))], lax)
+    stations = {1: (0, 0), 2: (10, 0), 3: (10.5, 0.0001)}
+    out = resolve(stations, [pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100)], lax)
     assert out[1].kind == DELIVERED
     assert out[1].packet.sender == 2
 
@@ -161,8 +151,8 @@ def test_exact_tie_at_zero_threshold_goes_to_the_lowest_sender():
     # A margin taken through 10**(p/10) and log10 reads just below 0 dB at
     # this distance under exponent 3, and would call the slot a collision.
     tie = ChannelConfig(comm_range=20.0, capture_threshold=0.0, path_loss_exponent=3.0)
-    txs = [tx(3, (60.0, 52.0), b"\x03" * 100), tx(2, (52.0, 60.0), b"\x02" * 100)]
-    out = resolve_slot(txs, [(1, (50.0, 50.0))], tie)
+    stations = {1: (50.0, 50.0), 2: (52.0, 60.0), 3: (60.0, 52.0)}
+    out = resolve(stations, [pkt(3, b"\x03" * 100), pkt(2, b"\x02" * 100)], tie)
     assert out[1].kind == DELIVERED and out[1].packet.sender == 2
 
 
@@ -185,33 +175,47 @@ def test_bundled_traces_do_not_depend_on_the_last_bit_of_log10(monkeypatch, dire
 
 
 def test_empty_slot_is_silent_everywhere():
-    out = resolve_slot([], [(1, (0, 0)), (2, (5, 5))], CFG)
+    out = resolve({1: (0, 0), 2: (5, 5)}, [])
     assert out[1].kind == SILENCE and out[2].kind == SILENCE
     assert out[1].packet is None
 
 
 def test_duplicate_sender_rejected():
     with pytest.raises(InvalidSlotError):
-        resolve_slot([tx(2, (10, 0)), tx(2, (20, 0))], [(1, (0, 0))], CFG)
+        resolve({1: (0, 0), 2: (10, 0)}, [pkt(2), pkt(2, b"\x02" * 100)])
 
 
-def test_listener_at_a_sender_position_is_degenerate():
+def test_sender_outside_the_table_rejected():
+    with pytest.raises(InvalidSlotError, match=r"\[3\]"):
+        resolve({1: (0, 0), 2: (10, 0)}, [pkt(2), pkt(3)])
+
+
+@pytest.mark.parametrize("far_first", [False, True])
+def test_link_table_rejects_a_station_id_listed_twice(far_first):
+    # Vehicle 1 near sender 2 and vehicle 1 far from it: whichever entry
+    # came last used to take over the id, so the order decided the outcome.
+    entries = [(1, (0.0, 0.0)), (1, (500.0, 0.0))]
+    with pytest.raises(InvalidSlotError, match="duplicate station id"):
+        link_table([(2, (0.0, 1.0))] + entries[::-1 if far_first else 1], CFG)
+
+
+def test_listener_colocated_with_a_sender_is_degenerate():
     with pytest.raises(DegenerateGeometryError):
-        resolve_slot([tx(2, (10, 0))], [(1, (10, 0))], CFG)
+        resolve({2: (10, 0), 1: (10, 0)}, [pkt(2)])
 
 
 def test_colocated_listeners_are_degenerate():
-    # Without a table the slot tabulates every station it names, so two
-    # listeners at one position raise even though neither is a sender.
+    # The link table links every pair of stations, so two listeners at one
+    # position raise even though neither is a sender.
     with pytest.raises(DegenerateGeometryError):
-        resolve_slot([tx(2, (10, 0))], [(1, (0, 0)), (3, (0, 0))], CFG)
+        resolve({2: (10, 0), 1: (0, 0), 3: (0, 0)}, [pkt(2)])
 
 
 def test_determinism_same_slot_same_outcome():
-    txs = [tx(2, (10, 1), b"\x02" * 100), tx(3, (-9, 3), b"\x03" * 100)]
-    receivers = [(1, (0, 0)), (4, (30, 30))]
-    first = resolve_slot(txs, receivers, CFG)
-    second = resolve_slot(list(txs), list(receivers), CFG)
+    stations = {1: (0, 0), 2: (10, 1), 3: (-9, 3), 4: (30, 30)}
+    packets = [pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100)]
+    first = resolve(stations, packets)
+    second = resolve(dict(stations), list(packets))
     assert {k: (v.kind, v.packet) for k, v in first.items()} == {
         k: (v.kind, v.packet) for k, v in second.items()
     }

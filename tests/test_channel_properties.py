@@ -4,7 +4,8 @@ received_power and math.dist, over random small slots.
 Stations sit on an integer lattice, so equal distances (and hence exact
 power ties) are common, and 3-4-5 triangles put senders at exactly
 comm_range. Payloads come from a small alphabet, so several
-identical-payload groups form in most slots.
+identical-payload groups form in most slots. The link table lists the
+stations in a drawn order, and the outcomes must come back by ascending id.
 """
 
 import math
@@ -18,34 +19,34 @@ from zonecast import (
     SILENCE,
     ChannelConfig,
     Packet,
-    Transmission,
     ZoneIndex,
+    link_table,
     received_power,
     resolve_slot,
 )
-from zonecast.channel import link_table
 
 ZONES = (ZoneIndex(0, 0), ZoneIndex(1, 0))
 
 
-def reference(txs, receivers, cfg):
-    """The capture rule evaluated pair by pair, as (kind, packet) per receiver."""
-    senders = {t.sender for t in txs}
+def reference(packets, stations, cfg):
+    """The capture rule evaluated pair by pair, as (kind, packet) per station."""
+    where = dict(stations)
+    senders = {pkt.sender for pkt in packets}
     groups = {}
-    for t in txs:
-        groups.setdefault((t.packet.zone, t.packet.payload), []).append(t)
+    for pkt in packets:
+        groups.setdefault((pkt.zone, pkt.payload), []).append(pkt)
     out = {}
-    for rid, rpos in receivers:
+    for rid, rpos in stations:
         if rid in senders:
             out[rid] = (SILENCE, None)
             continue
         audible = []
         for members in groups.values():
-            near = [t for t in members if math.dist(t.sender_pos, rpos) <= cfg.comm_range]
+            near = [m for m in members if math.dist(where[m.sender], rpos) <= cfg.comm_range]
             if not near:
                 continue
-            best = max(near, key=lambda t: (received_power(t.sender_pos, rpos, cfg), -t.sender))
-            audible.append((received_power(best.sender_pos, rpos, cfg), best.sender, best.packet))
+            best = max(near, key=lambda m: (received_power(where[m.sender], rpos, cfg), -m.sender))
+            audible.append((received_power(where[best.sender], rpos, cfg), best.sender, best))
         if not audible:
             out[rid] = (SILENCE, None)
         elif len(audible) == 1:
@@ -73,20 +74,19 @@ def slots(draw):
     )
     ids = draw(st.permutations(range(1, 40)))[: len(points)]
     stations = [(vid, (float(x), float(y))) for vid, (x, y) in zip(ids, points)]
-    txs = []
-    for vid, pos in stations:
+    packets = []
+    for vid, _ in stations:
         label = draw(st.sampled_from([None, 0, 1, 2, 3]))
         if label is not None:
-            zone = ZONES[label // 3]
-            txs.append(Transmission(vid, pos, Packet(vid, zone, bytes([label]) * 4)))
-    txs = draw(st.permutations(txs))
-    receivers = draw(st.permutations(stations))
+            packets.append(Packet(vid, ZONES[label // 3], bytes([label]) * 4))
+    packets = draw(st.permutations(packets))
+    table_order = draw(st.permutations(stations))
     cfg = ChannelConfig(
         comm_range=draw(st.sampled_from([5.0, 10.0, 13.0, 100.0])),
         capture_threshold=draw(st.sampled_from([0.0, 1.0, 3.0])),
         path_loss_exponent=draw(st.sampled_from([2.0, 3.0])),
     )
-    return stations, txs, receivers, cfg
+    return stations, packets, table_order, cfg
 
 
 # An exact 0 dB tie: both senders are sqrt(104) m from the listener, where a
@@ -95,11 +95,8 @@ def slots(draw):
 # delivered.
 SQRT104_TIE = (
     [(1, (0.0, 0.0)), (2, (2.0, 10.0)), (3, (10.0, 2.0))],
-    [
-        Transmission(3, (10.0, 2.0), Packet(3, ZONES[0], bytes([3]) * 4)),
-        Transmission(2, (2.0, 10.0), Packet(2, ZONES[0], bytes([2]) * 4)),
-    ],
-    [(1, (0.0, 0.0)), (2, (2.0, 10.0)), (3, (10.0, 2.0))],
+    [Packet(3, ZONES[0], bytes([3]) * 4), Packet(2, ZONES[0], bytes([2]) * 4)],
+    [(3, (10.0, 2.0)), (1, (0.0, 0.0)), (2, (2.0, 10.0))],
     ChannelConfig(comm_range=13.0, capture_threshold=0.0, path_loss_exponent=3.0),
 )
 
@@ -112,13 +109,10 @@ def as_pairs(outcomes):
 @given(slots())
 @example(SQRT104_TIE)
 def test_resolve_slot_matches_pairwise_reference(slot):
-    stations, txs, receivers, cfg = slot
-    want = reference(txs, receivers, cfg)
-    assert as_pairs(resolve_slot(txs, receivers, cfg)) == want
-    table = link_table(stations, cfg)
-    got = resolve_slot(txs, receivers, cfg, table)
-    assert as_pairs(got) == want
-    assert list(got) == [rid for rid, _ in receivers]
+    stations, packets, table_order, cfg = slot
+    got = resolve_slot(packets, link_table(table_order, cfg), cfg)
+    assert as_pairs(got) == reference(packets, stations, cfg)
+    assert list(got) == sorted(vid for vid, _ in stations)
 
 
 @settings(max_examples=100, deadline=None)

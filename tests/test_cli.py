@@ -143,6 +143,28 @@ def test_run_extreme_path_loss_runs_without_a_traceback(tmp_path, capsys):
     assert (tmp_path / "trace.txt").read_text().startswith("slot 1 | tx 2,3 | 1:D2 ")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "vehicles:\n  - {id: 1, pos: [-1.0e+308, 5.0]}\n",
+        "vehicles:\n  - {id: 1, pos: [1.0e+308, 5.0]}\n"
+        "objects:\n  - {pos: [-1.0e+308, 5.0]}\n",
+    ],
+    ids=["vehicle", "object"],
+)
+def test_run_position_overflowing_its_offset_is_a_config_error(tmp_path, capsys, body):
+    # Every number is finite, but -1e308 lies 2e308 from the origin: more
+    # than a double holds, so its zone cannot be located.
+    path = tmp_path / "far.scenario"
+    path.write_text("grid: {origin: [1.0e+308, 0.0]}\n" + body)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: position (-1e+308, 5.0)")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_mac_override(tmp_path):
     main(["run", "--scenario", LINE3, "--out", str(tmp_path), "--mac", "csma"])
     assert (tmp_path / "metrics.csv").read_text().splitlines()[1].startswith("csma,")

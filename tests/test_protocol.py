@@ -76,14 +76,9 @@ def test_init_vehicle_limited_range_does_not_arm():
 
 
 def test_on_slot_begin_emits_snapshot_and_consumes_flag():
-    v = state([[FREE, OBJ], [OUT, UNC]], pending=True, vid=7, pos=(1.0, 3.0))
-    tx = on_slot_begin(v)
-    assert tx is not None
-    assert tx.sender == 7
-    assert tx.sender_pos == (1.0, 3.0)
-    assert tx.packet.sender == 7
-    assert tx.packet.zone == Z
-    assert tx.packet.payload == encode(v.matrix)
+    v = state([[FREE, OBJ], [OUT, UNC]], pending=True, vid=7)
+    sent = on_slot_begin(v)
+    assert sent == Packet(7, Z, encode(v.matrix))
     assert v.tx_slots == 1
     assert not v.pending_tx
     assert on_slot_begin(v) is None  # sends at most once per change

@@ -14,7 +14,7 @@ PUBLIC_NAMES = {
     "DegenerateGeometryError",
     "InvalidSlotError",
     "Packet",
-    "Transmission",
+    "link_table",
     "received_power",
     "resolve_slot",
     # engine

@@ -31,7 +31,6 @@ from .engine import (
     sweep_csv,
 )
 from .grid import (
-    BlockIndex,
     GridConfig,
     OutOfZoneError,
     Position,
@@ -39,7 +38,6 @@ from .grid import (
     block_centers,
     locate_block,
     locate_zone,
-    zone_origin,
 )
 from .presets import PRESETS
 from .protocol import (

@@ -162,8 +162,8 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
     if p.area is not None:
         x0, y0, x1, y1 = p.area
     else:
-        ox, oy = cfg.grid.origin
-        x0, y0, x1, y1 = ox, oy, ox + cfg.grid.zone_side, oy + cfg.grid.zone_side
+        (ox, oy), side = cfg.grid.origin, cfg.grid.blocks_per_side * cfg.grid.block_side
+        x0, y0, x1, y1 = ox, oy, ox + side, oy + side
     if not (0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf):
         raise ConfigError(f"degenerate or unbounded placement area {p.area!r}")
     s, reach = p.min_separation, cfg.channel.comm_range

@@ -1,14 +1,16 @@
 """Zone and block geometry of the pre-shared digital map.
 
-The map is an unbounded plane tiled by square zones, each subdivided into
-square blocks. All cells are half-open, ``[k*side, (k+1)*side)``, so every
-finite position belongs to exactly one zone and one block within it.
+The map is an unbounded plane tiled by square zones of n x n square blocks.
+Cells are half-open, ``[k*side, (k+1)*side)`` of the offset ``p - origin``,
+up to the one rounding of ``offset / block_side`` (-5e-324 divides to -0.0,
+so it lies in zone 0): each finite position lies in one zone and one block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +34,8 @@ class OutOfZoneError(ValueError):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Map geometry. A zone holds exactly (zone_side/block_side)**2 blocks."""
+    """Map geometry. A zone is n = round(zone_side / block_side) blocks wide:
+    zone_side sets only n, and positions are quantised in blocks."""
 
     zone_side: float = 100.0
     block_side: float = 5.0
@@ -51,42 +54,39 @@ class GridConfig:
         if round(ratio) > 1024:
             raise ValueError(f"zone_side / block_side must be <= 1024, got {round(ratio)}")
 
-    @property
+    @cached_property
     def blocks_per_side(self) -> int:
         return round(self.zone_side / self.block_side)
 
 
-def locate_zone(p: Position, g: GridConfig) -> ZoneIndex:
-    """Zone containing position p.
+def _quantise(p: Position, g: GridConfig) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Per axis, ``divmod(k, n)`` of p's block number k counted from the origin:
+    the zone, and the block within it, as exact ints.
 
-    Raises ValueError when p is not finite or its offset from the grid
-    origin, in zones, overflows a double.
+    Raises ValueError when p is not finite or lies a non-finite number of
+    blocks from the origin.
     """
-    col = (p[0] - g.origin[0]) / g.zone_side
-    row = (p[1] - g.origin[1]) / g.zone_side
-    if not (math.isfinite(col) and math.isfinite(row)):
-        raise ValueError(f"position {p!r} lies a non-finite number of zones from {g.origin!r}")
-    return ZoneIndex(math.floor(col), math.floor(row))
+    kx = (p[0] - g.origin[0]) / g.block_side
+    ky = (p[1] - g.origin[1]) / g.block_side
+    if not (math.isfinite(kx) and math.isfinite(ky)):
+        raise ValueError(f"position {p!r} lies a non-finite number of blocks from {g.origin!r}")
+    n = g.blocks_per_side
+    return divmod(math.floor(kx), n), divmod(math.floor(ky), n)
+
+
+def locate_zone(p: Position, g: GridConfig) -> ZoneIndex:
+    """Zone containing position p; raises ValueError as ``_quantise`` does."""
+    (zc, _), (zr, _) = _quantise(p, g)
+    return ZoneIndex(zc, zr)
 
 
 def locate_block(p: Position, z: ZoneIndex, g: GridConfig) -> BlockIndex:
-    """Block of zone z containing p.
-
-    Raises OutOfZoneError when p lies outside z. Column counts eastward and
-    row northward from the zone's south-west corner.
-    """
-    if locate_zone(p, g) != z:
+    """Block of zone z containing p, its column counted eastward and its row northward
+    from the zone's south-west corner. Raises OutOfZoneError when p lies outside z."""
+    (zc, col), (zr, row) = _quantise(p, g)
+    if (zc, zr) != z:
         raise OutOfZoneError(f"position {p!r} is not inside zone {tuple(z)}")
-    x0, y0 = zone_origin(z, g)
-    n = g.blocks_per_side
-    col = min(int((p[0] - x0) // g.block_side), n - 1)
-    row = min(int((p[1] - y0) // g.block_side), n - 1)
     return BlockIndex(col, row)
-
-
-def zone_origin(z: ZoneIndex, g: GridConfig) -> Position:
-    """World coordinates of the zone's south-west corner."""
-    return (g.origin[0] + z.col * g.zone_side, g.origin[1] + z.row * g.zone_side)
 
 
 def block_centers(z: ZoneIndex, g: GridConfig) -> np.ndarray:
@@ -96,7 +96,8 @@ def block_centers(z: ZoneIndex, g: GridConfig) -> np.ndarray:
     southernmost row, matching the sensing-matrix cell layout.
     """
     n = g.blocks_per_side
-    x0, y0 = zone_origin(z, g)
+    x0 = g.origin[0] + (z.col * n) * g.block_side
+    y0 = g.origin[1] + (z.row * n) * g.block_side
     offsets = (np.arange(n) + 0.5) * g.block_side
     xx, yy = np.meshgrid(x0 + offsets, y0 + offsets)
     return np.column_stack([xx.ravel(), yy.ravel()])

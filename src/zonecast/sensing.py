@@ -28,6 +28,7 @@ disc at a time (see its docstring).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -255,7 +256,7 @@ def _world_view(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> _WorldV
     centers = block_centers(zone, cfg)
     occupied = np.zeros(n * n, dtype=bool)
     for pos in [p for p, _ in world.objects] + [p for _, p, _ in world.vehicles]:
-        if locate_zone(pos, cfg) == zone:
+        with suppress(OutOfZoneError):  # a position outside the zone occupies none of it
             col, row = locate_block(pos, zone, cfg)
             occupied[row * n + col] = True
     discs = [(pos, r, None) for pos, r in world.objects]

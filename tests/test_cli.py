@@ -143,24 +143,36 @@ def test_run_extreme_path_loss_runs_without_a_traceback(tmp_path, capsys):
     assert (tmp_path / "trace.txt").read_text().startswith("slot 1 | tx 2,3 | 1:D2 ")
 
 
+FAR = "grid: {origin: [1.0e+308, 0.0]}\n"
+
+
 @pytest.mark.parametrize(
-    "body",
+    "body, position",
     [
-        "vehicles:\n  - {id: 1, pos: [-1.0e+308, 5.0]}\n",
-        "vehicles:\n  - {id: 1, pos: [1.0e+308, 5.0]}\n"
-        "objects:\n  - {pos: [-1.0e+308, 5.0]}\n",
+        (FAR + "vehicles:\n  - {id: 1, pos: [-1.0e+308, 5.0]}\n", "(-1e+308, 5.0)"),
+        (
+            FAR + "vehicles:\n  - {id: 1, pos: [1.0e+308, 5.0]}\n"
+            "objects:\n  - {pos: [-1.0e+308, 5.0]}\n",
+            "(-1e+308, 5.0)",
+        ),
+        # 1e308 m is 2e308 half-metre blocks, though only 1e306 zones
+        (
+            "grid: {zone_side: 100.0, block_side: 0.5}\n"
+            "vehicles:\n  - {id: 1, pos: [1.0e+308, 2.5]}\n",
+            "(1e+308, 2.5)",
+        ),
     ],
-    ids=["vehicle", "object"],
+    ids=["vehicle", "object", "blocks"],
 )
-def test_run_position_overflowing_its_offset_is_a_config_error(tmp_path, capsys, body):
-    # Every number is finite, but -1e308 lies 2e308 from the origin: more
-    # than a double holds, so its zone cannot be located.
+def test_run_position_overflowing_its_offset_is_a_config_error(tmp_path, capsys, body, position):
+    # Every number is finite, but the position lies more blocks from the
+    # origin than a double holds, so its block cannot be located.
     path = tmp_path / "far.scenario"
-    path.write_text("grid: {origin: [1.0e+308, 0.0]}\n" + body)
+    path.write_text(body)
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: position (-1e+308, 5.0)")
+    assert err.startswith(f"error: position {position} lies a non-finite number of blocks")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -179,6 +191,18 @@ def test_dump_matrix(tmp_path, capsys):
 
     assert main(["dump-matrix", "--scenario", LINE3, "--vehicle", "99"]) == 1
     assert "no vehicle with id 99" in capsys.readouterr().err
+
+
+def test_dump_matrix_marks_own_block_one_ulp_west_of_the_origin(tmp_path, capsys):
+    # -5e-324 divides to -0.0 blocks, so it lies in block 0 of zone 0, and
+    # the vehicle's own cell reads OBJECT.
+    path = tmp_path / "edge.scenario"
+    path.write_text(
+        "vehicles:\n  - {id: 1, pos: [-5.0e-324, 2.5]}\n  - {id: 2, pos: [7.5, 2.5]}\n"
+    )
+    assert main(["dump-matrix", "--scenario", str(path), "--vehicle", "1"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert rows[-1].split()[:2] == ["11", "11"]  # southernmost row: blocks 0 and 1
 
 
 def test_sweep_counts_mode(tmp_path, capsys):

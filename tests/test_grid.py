@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from zonecast import (
-    BlockIndex,
     GridConfig,
     OutOfZoneError,
     ZoneIndex,
     block_centers,
     locate_block,
     locate_zone,
-    zone_origin,
 )
+from zonecast.grid import BlockIndex
 
 
 def test_default_grid_dimensions():
@@ -89,18 +88,6 @@ def test_locate_block_in_negative_zone():
     assert locate_block((-52.5, -97.5), z, g) == BlockIndex(9, 0)
 
 
-def test_zone_origin_roundtrip():
-    g = GridConfig(origin=(10.0, 20.0))
-    assert zone_origin(ZoneIndex(0, 0), g) == (10.0, 20.0)
-    assert zone_origin(ZoneIndex(2, -1), g) == (210.0, -80.0)
-    # origin of the zone that contains a point is south-west of the point
-    p = (345.6, -12.3)
-    z = locate_zone(p, g)
-    ox, oy = zone_origin(z, g)
-    assert ox <= p[0] < ox + g.zone_side
-    assert oy <= p[1] < oy + g.zone_side
-
-
 def test_block_centers_row_major_from_south_west():
     g = GridConfig(zone_side=15.0, block_side=5.0)
     c = block_centers(ZoneIndex(0, 0), g)
@@ -113,15 +100,22 @@ def test_block_centers_row_major_from_south_west():
 
 
 def test_block_centers_agree_with_locate_block():
-    g = GridConfig()
-    z = ZoneIndex(3, -2)
-    centers = block_centers(z, g)
-    n = g.blocks_per_side
+    # exact and inexact sides, near and far zones, with and without an origin
+    cases = [(GridConfig(), ZoneIndex(3, -2)), (GridConfig(), ZoneIndex(10**6, -(10**6)))]
+    for g in (
+        GridConfig(0.3, 0.1),
+        GridConfig(3.3, 0.3, origin=(0.7, -1.3)),
+        GridConfig(10.0, 0.1, origin=(-254511.6, 0.05)),
+    ):
+        cases += [(g, ZoneIndex(-1, 2)), (g, ZoneIndex(10**6, -(10**6)))]
     rng = np.random.default_rng(7)
-    for idx in rng.integers(0, n * n, size=40):
-        x, y = centers[int(idx)]
-        b = locate_block((float(x), float(y)), z, g)
-        assert b.row * n + b.col == int(idx)
+    for g, z in cases:
+        centers = block_centers(z, g)
+        n = g.blocks_per_side
+        for idx in rng.integers(0, n * n, size=40):
+            x, y = centers[int(idx)]
+            b = locate_block((float(x), float(y)), z, g)
+            assert b.row * n + b.col == int(idx)
 
 
 def test_block_centers_spacing_is_block_side():
@@ -137,5 +131,5 @@ def test_block_centers_spacing_is_block_side():
 
 @pytest.mark.parametrize("p", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)])
 def test_locate_zone_rejects_non_finite_positions(p):
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite number of blocks"):
         locate_zone(p, GridConfig())

@@ -21,6 +21,8 @@ from zonecast import (
     ZoneIndex,
     format_matrix,
     has_uncertain,
+    locate_block,
+    locate_zone,
     perceive,
 )
 
@@ -183,3 +185,19 @@ def test_own_block_follows_the_same_rules_as_any_block(vehicles, sensing_range, 
 def test_ground_truth_rejects_nan_radii(fields):
     with pytest.raises(ValueError, match="radii"):
         GroundTruth(**fields)
+
+
+@pytest.mark.parametrize(
+    "g, pos",
+    [(GridConfig(), (-5e-324, 2.5)), (GridConfig(0.3, 0.1), (-254511.6, 0.05))],
+    ids=["one-ulp-west-of-the-origin", "inexact-sides"],
+)
+def test_lone_vehicle_on_a_rounding_edge_marks_only_its_own_block(g, pos):
+    # Each position lies on a zone edge up to rounding: its zone and its block
+    # come from one floor, so the vehicle occupies block (0, 0) of its zone.
+    zone = locate_zone(pos, g)
+    assert locate_block(pos, zone, g) == (0, 0)
+    world = GroundTruth(vehicles=((1, pos, 0.0),))
+    cells = perceive(1, pos, world, zone, g, sensing_range=4 * g.zone_side).cells
+    assert int(cells[0, 0]) == OBJ
+    assert (np.delete(cells.reshape(-1), 0) == FREE).all()

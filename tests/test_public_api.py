@@ -30,7 +30,6 @@ PUBLIC_NAMES = {
     "sweep",
     "sweep_csv",
     # grid
-    "BlockIndex",
     "GridConfig",
     "OutOfZoneError",
     "Position",
@@ -38,7 +37,6 @@ PUBLIC_NAMES = {
     "block_centers",
     "locate_block",
     "locate_zone",
-    "zone_origin",
     # presets
     "PRESETS",
     # protocol
@@ -76,4 +74,4 @@ def test_public_names_are_pinned():
         and not isinstance(getattr(zonecast, name), types.ModuleType)
     }
     assert public == PUBLIC_NAMES
-    assert len(public) == 52
+    assert len(public) == 50

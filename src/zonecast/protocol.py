@@ -4,11 +4,15 @@ A vehicle transmits in a slot exactly when its matrix changed in the previous
 slot (or it was designated an initiator for slot 1). Deliveries are merged
 with aggregate(); a merge that changes nothing schedules nothing, which is
 what eventually silences the network.
+
+Each vehicle keeps its matrix's wire bytes and sends them as they are. A
+delivered frame byte-equal to them is counted and dropped without a decode
+or a merge: merging a matrix into itself changes no cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .channel import Packet
@@ -27,6 +31,10 @@ from .sensing import (
 
 @dataclass
 class VehicleState:
+    """One vehicle's protocol state. ``payload`` is always
+    ``encode(matrix)``: it is set on construction and again whenever
+    ``on_delivery``'s merge changes the matrix."""
+
     id: int
     position: Position
     matrix: SensingMatrix
@@ -34,6 +42,10 @@ class VehicleState:
     tx_slots: int = 0
     rx_slots: int = 0
     protocol_errors: int = 0
+    payload: bytes = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.payload = encode(self.matrix)
 
 
 def init_vehicle(
@@ -53,25 +65,28 @@ def init_vehicle(
 def on_slot_begin(v: VehicleState) -> Optional[Packet]:
     """Emit this slot's packet, if one is pending.
 
-    The packet snapshots the current matrix; the pending flag is consumed so
-    a vehicle sends at most once per change.
+    The packet carries the vehicle's kept bytes, with no encode; the pending
+    flag is consumed so a vehicle sends at most once per change.
     """
     if not v.pending_tx:
         return None
     v.pending_tx = False
     v.tx_slots += 1
-    return Packet(v.id, v.matrix.zone, encode(v.matrix))
+    return Packet(v.id, v.matrix.zone, v.payload)
 
 
 def on_delivery(v: VehicleState, pkt: Packet) -> None:
     """Merge a delivered packet into the vehicle's matrix.
 
-    Cross-zone packets are dropped after counting the reception; malformed
-    payloads are dropped and counted as protocol errors. A merge that changed
-    any cell arms the vehicle for the next slot.
+    Every reception is counted. Cross-zone packets and packets byte-equal to
+    the vehicle's own payload are then dropped: the receiver's own bytes
+    decode, under its shape, to its own matrix, and ``merge(x, x) = x`` for
+    every cell. Malformed payloads are dropped and counted as protocol
+    errors. A merge that changed any cell re-encodes the payload and arms
+    the vehicle for the next slot.
     """
     v.rx_slots += 1
-    if pkt.zone != v.matrix.zone:
+    if pkt.zone != v.matrix.zone or pkt.payload == v.payload:
         return
     try:
         received = decode(pkt.payload, pkt.zone, v.matrix.m, v.matrix.n)
@@ -79,13 +94,17 @@ def on_delivery(v: VehicleState, pkt: Packet) -> None:
         v.protocol_errors += 1
         return
     v.matrix, changed = aggregate(v.matrix, received)
-    v.pending_tx = v.pending_tx or changed
+    if changed:
+        v.payload = encode(v.matrix)
+        v.pending_tx = True
 
 
 def is_globally_converged(all_states: list[VehicleState]) -> bool:
     """Omniscient-observer convergence: nobody pending and every vehicle
-    holds the byte-identical matrix."""
+    holds the same matrix. Zone, shape and payload decide it, as equal
+    payloads of one shape decode to equal cells; the shape is needed because
+    a 2x2 and a 1x4 matrix with the same cells encode to the same byte. An
+    empty list has nobody pending and no two matrices that differ."""
     if any(v.pending_tx for v in all_states):
         return False
-    first = all_states[0].matrix
-    return all(v.matrix == first for v in all_states[1:])
+    return len({(v.matrix.zone, v.matrix.cells.shape, v.payload) for v in all_states}) <= 1

@@ -5,6 +5,8 @@ form — trust a sensed report over an unsensed cell, flag contradictory sensed
 reports as uncertain — rather than copied from the implementation.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,11 @@ def test_out_of_sensing_in_received_is_neutral():
 def test_idempotence():
     for v in range(4):
         assert single(v, v) == v
+    rng = np.random.default_rng(0)
+    every_2x2 = [mat(np.array(c).reshape(2, 2)) for c in itertools.product(range(4), repeat=4)]
+    larger = [mat(rng.integers(0, 4, size=shape)) for shape in ((3, 3), (1, 7), (20, 20))]
+    for m in every_2x2 + larger:
+        assert aggregate(m, m) == (m, False)
 
 
 def test_sensedness_never_lost_except_by_conflict():

@@ -1,8 +1,11 @@
 """Tests for the per-vehicle protocol state machine."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import zonecast.protocol as protocol
 from zonecast import (
     BlockState,
     GridConfig,
@@ -33,6 +36,10 @@ def mat(rows) -> SensingMatrix:
 
 def state(rows, pending=False, vid=1, pos=(2.0, 2.0)) -> VehicleState:
     return VehicleState(vid, pos, mat(rows), pending_tx=pending)
+
+
+def raise_if_called(*args):
+    raise AssertionError("must not be called")
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +92,19 @@ def test_on_slot_begin_emits_snapshot_and_consumes_flag():
     assert v.tx_slots == 1
 
 
+def test_on_slot_begin_sends_kept_bytes_without_encoding(monkeypatch):
+    v = state([[FREE, OBJ], [OUT, UNC]], pending=True, vid=7)
+    kept = v.payload
+    assert kept == encode(v.matrix)
+    monkeypatch.setattr(protocol, "encode", raise_if_called)
+    assert on_slot_begin(v) == Packet(7, Z, kept)
+
+
+def test_payload_is_left_out_of_repr():
+    v = state([[FREE, OBJ], [OUT, UNC]])
+    assert "payload" not in repr(v)
+
+
 def test_on_slot_begin_idle_vehicle_stays_silent():
     v = state([[FREE, FREE], [FREE, FREE]])
     assert on_slot_begin(v) is None
@@ -105,6 +125,7 @@ def test_delivery_merges_and_arms():
     assert v.rx_slots == 1
     assert v.matrix.cells.tolist() == [[FREE, OBJ], [FREE, FREE]]
     assert v.pending_tx
+    assert v.payload == encode(v.matrix)  # re-encoded on change
 
 
 def test_delivery_without_change_schedules_nothing():
@@ -135,6 +156,37 @@ def test_malformed_payload_counts_protocol_error():
     assert v.rx_slots == 1
     assert v.protocol_errors == 1
     assert v.matrix.cells.tolist() == [[OUT, OUT], [OUT, OUT]]
+    assert not v.pending_tx
+
+
+def test_byte_equal_frame_moves_only_rx_slots(monkeypatch):
+    v = state([[FREE, OBJ], [OUT, UNC]], pending=True)
+    matrix, payload = v.matrix, v.payload
+    monkeypatch.setattr(protocol, "decode", raise_if_called)
+    monkeypatch.setattr(protocol, "aggregate", raise_if_called)
+    on_delivery(v, Packet(2, Z, encode(mat([[FREE, OBJ], [OUT, UNC]]))))
+    assert v.rx_slots == 1
+    assert v.matrix is matrix and v.payload is payload
+    assert v.pending_tx and v.tx_slots == 0 and v.protocol_errors == 0
+
+
+def test_padding_bits_take_the_merge_path_and_change_nothing(monkeypatch):
+    # A 3x3 matrix fills 2 bytes and one cell of a third; its other three bit
+    # pairs are padding. Set, they make a frame that differs from the
+    # receiver's bytes yet carries its cells: it is decoded and merged.
+    rows = [[FREE, OBJ, OUT], [UNC, FREE, FREE], [OBJ, OUT, FREE]]
+    v = state(rows)
+    own = v.payload
+    padded = own[:-1] + bytes([own[-1] | 0b00111111])
+    decode = mock.Mock(wraps=protocol.decode)
+    aggregate = mock.Mock(wraps=protocol.aggregate)
+    monkeypatch.setattr(protocol, "decode", decode)
+    monkeypatch.setattr(protocol, "aggregate", aggregate)
+    on_delivery(v, Packet(2, Z, padded))
+    assert decode.call_count == aggregate.call_count == 1
+    assert v.rx_slots == 1
+    assert v.matrix.cells.tolist() == rows
+    assert v.payload == own
     assert not v.pending_tx
 
 
@@ -172,6 +224,19 @@ def test_convergence_fails_on_zone_mismatch():
     other = SensingMatrix(ZoneIndex(1, 0), np.full((2, 2), FREE, np.uint8))
     b = VehicleState(2, (12.0, 2.0), other, pending_tx=False)
     assert not is_globally_converged([a, b])
+
+
+def test_convergence_fails_on_shape_mismatch_with_equal_bytes():
+    # Four cells encode to one byte whatever the shape.
+    a = state([[FREE, OBJ], [OUT, UNC]], vid=1)
+    b = state([[FREE, OBJ, OUT, UNC]], vid=2)
+    assert encode(a.matrix) == encode(b.matrix)
+    assert a.matrix != b.matrix
+    assert not is_globally_converged([a, b])
+
+
+def test_no_vehicles_are_converged():
+    assert is_globally_converged([])
 
 
 def test_single_vehicle_converges_alone():

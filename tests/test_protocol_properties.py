@@ -1,0 +1,175 @@
+"""Property test: the protocol's kept payload against a literal reference.
+
+The reference below is the protocol without kept bytes: it encodes on every
+send, decodes and merges every delivery of its own zone, and compares
+matrices with ``==`` for convergence. Random sequences of sends and
+deliveries run on both, over 2-4 vehicles of 2x2, 3x3, 20x20 and 1x4
+matrices. Frames carry the receiver's own bytes, another vehicle's, either
+with its padding bits set, a packet sent earlier, another zone's stamp, or
+a wrong length. After every step each field must match the reference, and
+the kept payload must equal ``encode(matrix)``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zonecast import (
+    Packet,
+    PayloadSizeError,
+    SensingMatrix,
+    VehicleState,
+    ZoneIndex,
+    aggregate,
+    decode,
+    encode,
+    is_globally_converged,
+    on_delivery,
+    on_slot_begin,
+)
+
+Z = ZoneIndex(0, 0)
+OTHER_ZONE = ZoneIndex(1, 0)
+SHAPES = ((2, 2), (3, 3), (20, 20), (1, 4))
+
+
+@dataclass
+class Reference:
+    id: int
+    matrix: SensingMatrix
+    pending_tx: bool
+    tx_slots: int = 0
+    rx_slots: int = 0
+    protocol_errors: int = 0
+
+
+def reference_slot_begin(r: Reference) -> Optional[Packet]:
+    if not r.pending_tx:
+        return None
+    r.pending_tx = False
+    r.tx_slots += 1
+    return Packet(r.id, r.matrix.zone, encode(r.matrix))
+
+
+def reference_delivery(r: Reference, pkt: Packet) -> None:
+    r.rx_slots += 1
+    if pkt.zone != r.matrix.zone:
+        return
+    try:
+        received = decode(pkt.payload, pkt.zone, r.matrix.m, r.matrix.n)
+    except PayloadSizeError:
+        r.protocol_errors += 1
+        return
+    r.matrix, changed = aggregate(r.matrix, received)
+    r.pending_tx = r.pending_tx or changed
+
+
+def reference_converged(refs: list[Reference]) -> bool:
+    return not any(r.pending_tx for r in refs) and all(r.matrix == refs[0].matrix for r in refs)
+
+
+def with_padding_set(data: bytes, cells: int) -> bytes:
+    """``data`` with every padding bit pair past ``cells`` set to 11."""
+    pad = -cells % 4
+    return data[:-1] + bytes([data[-1] | (1 << 2 * pad) - 1]) if pad else data
+
+
+@st.composite
+def fleets(draw):
+    """2-4 vehicles: (id, zone, cells, pending) each. Most fleets share one
+    zone and shape, and each of their vehicles starts from one base matrix
+    with up to two cells redrawn, so byte-equal frames and convergence both
+    happen. A mixed fleet draws a zone and a 2x2 or 1x4 shape per vehicle
+    for the base's cells, so its vehicles hold the same bytes but may differ
+    in zone or shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mixed = draw(st.booleans())
+    base_shape = (2, 2) if mixed else draw(st.sampled_from(SHAPES))
+    base = rng.integers(0, 4, size=base_shape, dtype=np.uint8)
+    fleet = []
+    for vid in range(1, draw(st.integers(2, 4)) + 1):
+        shape = draw(st.sampled_from(((2, 2), (1, 4)))) if mixed else base_shape
+        zone = draw(st.sampled_from((Z, OTHER_ZONE))) if mixed else Z
+        cells = base.reshape(shape).copy()
+        if not mixed:
+            flat = cells.reshape(-1)
+            flat[rng.integers(flat.size, size=draw(st.integers(0, 2)))] = rng.integers(0, 4)
+        fleet.append((vid, zone, cells, draw(st.booleans())))
+    return fleet
+
+
+FRAME_KINDS = ("own", "other", "own padded", "other padded", "sent", "cross-zone", "short", "long")
+
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.integers(0, 3)),
+        st.tuples(
+            st.just("deliver"),
+            st.integers(0, 3),
+            st.sampled_from(FRAME_KINDS),
+            st.integers(0, 3),
+        ),
+    ),
+    max_size=40,
+)
+
+
+def frame(kind: str, rx: Reference, other: Reference, sent: list[Packet], pick: int) -> Packet:
+    """The frame of ``kind`` for receiver ``rx``; "sent" falls back to
+    ``other``'s bytes until some packet was sent."""
+    source = rx if kind.startswith("own") else other
+    data = encode(source.matrix)
+    if kind.endswith("padded"):
+        data = with_padding_set(data, source.matrix.cells.size)
+    if kind == "sent" and sent:
+        return sent[pick % len(sent)]
+    if kind == "cross-zone":
+        return Packet(other.id, ZoneIndex(5, 5), data)
+    if kind == "short":
+        data = data[:-1]
+    if kind == "long":
+        data += b"\xff"
+    return Packet(other.id, source.matrix.zone, data)
+
+
+def assert_matches(states: list[VehicleState], refs: list[Reference]) -> None:
+    for v, r in zip(states, refs):
+        assert v.matrix == r.matrix
+        assert (v.pending_tx, v.tx_slots, v.rx_slots, v.protocol_errors) == (
+            r.pending_tx,
+            r.tx_slots,
+            r.rx_slots,
+            r.protocol_errors,
+        )
+        assert v.payload == encode(v.matrix)
+    assert is_globally_converged(states) == reference_converged(refs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(), steps)
+def test_kept_payload_matches_reference(fleet, ops):
+    states = [
+        VehicleState(vid, (0.0, 0.0), SensingMatrix(zone, cells.copy()), pending_tx=p)
+        for vid, zone, cells, p in fleet
+    ]
+    refs = [Reference(vid, SensingMatrix(zone, cells.copy()), p) for vid, zone, cells, p in fleet]
+    sent: list[Packet] = []
+    assert_matches(states, refs)
+    for op in ops:
+        i = op[1] % len(states)
+        if op[0] == "send":
+            pkt = on_slot_begin(states[i])
+            assert pkt == reference_slot_begin(refs[i])
+            if pkt is not None:
+                sent.append(pkt)
+        else:
+            _, _, kind, j = op
+            pkt = frame(kind, refs[i], refs[j % len(refs)], sent, j)
+            on_delivery(states[i], pkt)
+            reference_delivery(refs[i], pkt)
+        assert_matches(states, refs)

@@ -10,15 +10,12 @@ from .channel import (
     DELIVERED,
     SILENCE,
     ChannelConfig,
-    DegenerateGeometryError,
-    InvalidSlotError,
     Packet,
     link_table,
     received_power,
     resolve_slot,
 )
 from .engine import (
-    SWEEP_COLUMNS,
     ConfigError,
     CsmaConfig,
     Placement,
@@ -32,16 +29,12 @@ from .engine import (
 )
 from .grid import (
     GridConfig,
-    OutOfZoneError,
-    Position,
     ZoneIndex,
-    block_centers,
     locate_block,
     locate_zone,
 )
 from .presets import PRESETS
 from .protocol import (
-    VehicleState,
     init_vehicle,
     is_globally_converged,
     on_delivery,
@@ -50,21 +43,16 @@ from .protocol import (
 from .scenario import (
     bundled_scenario,
     load_scenario,
-    parse_scenario,
     save_scenario,
-    scenario_to_dict,
 )
 from .sensing import (
     BlockState,
     GroundTruth,
-    IncompatibleMatrixError,
-    PayloadSizeError,
     SensingMatrix,
     aggregate,
     decode,
     encode,
     format_matrix,
-    has_uncertain,
     perceive,
 )
 

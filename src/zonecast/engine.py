@@ -397,6 +397,17 @@ def run_baseline(cfg: ScenarioConfig) -> RunMetrics:
     return _simulate(cfg, _csma, "round")
 
 
+SWEEP_COLUMNS = [
+    "count",
+    "trial",
+    "seed",
+    "last_tx_slot",
+    "quiescent_slot",
+    "latency_ms",
+    "converged",
+]
+
+
 def sweep(
     base: ScenarioConfig,
     counts: list[int],
@@ -428,29 +439,17 @@ def sweep(
             )
             cfg = replace(base, placement=placement, vehicles=None, seed=sub_seed)
             metrics = run(cfg)
-            rows.append(
-                {
-                    "count": count,
-                    "trial": trial,
-                    "seed": sub_seed,
-                    "last_tx_slot": metrics.last_tx_slot,
-                    "quiescent_slot": metrics.quiescent_slot,
-                    "latency_ms": round(metrics.latency_ms, 6),
-                    "converged": metrics.converged,
-                }
+            values = (
+                count,
+                trial,
+                sub_seed,
+                metrics.last_tx_slot,
+                metrics.quiescent_slot,
+                round(metrics.latency_ms, 6),
+                metrics.converged,
             )
+            rows.append(dict(zip(SWEEP_COLUMNS, values, strict=True)))
     return rows
-
-
-SWEEP_COLUMNS = [
-    "count",
-    "trial",
-    "seed",
-    "last_tx_slot",
-    "quiescent_slot",
-    "latency_ms",
-    "converged",
-]
 
 
 def sweep_csv(rows: list[dict]) -> str:

@@ -7,14 +7,17 @@ content. The four values are NO_OBJECT (10), OBJECT (11), OUT_OF_SENSING (00)
 and UNCERTAIN (01, view blocked). With the default 20x20 zone the matrix
 serializes to exactly 100 bytes.
 
-The codec and the merge run once per delivered frame, so each is one array
+The codec and the merge sit on the delivery path, so each is one array
 operation: ``decode`` gathers four cells per payload byte from a 256 x 4
 unpack table, ``encode`` packs each group of four cells as one ``uint8`` dot
 product with (64, 16, 4, 1), and ``aggregate`` reads a flat 16-entry merge
 table at ``(current << 2) | received``. Their results, like ``perceive``'s
 and ``copy``'s, hold two-bit values by construction, so they are wrapped by
 ``SensingMatrix._of`` without the range check that the public constructor
-applies to cells from outside.
+applies to cells from outside. A delivered frame byte-equal to the
+receiver's kept wire bytes runs neither ``decode`` nor ``aggregate``, and
+``encode`` runs once per vehicle at set-up and once per merge that changes
+its matrix (see ``protocol``).
 
 Perception is synthetic: ``perceive`` reads a ``GroundTruth`` of disc objects
 and vehicles. What does not depend on the viewer is built once per world,

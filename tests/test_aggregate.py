@@ -12,12 +12,11 @@ import pytest
 
 from zonecast import (
     BlockState,
-    IncompatibleMatrixError,
     SensingMatrix,
     ZoneIndex,
     aggregate,
-    has_uncertain,
 )
+from zonecast.sensing import IncompatibleMatrixError, has_uncertain
 
 Z = ZoneIndex(0, 0)
 

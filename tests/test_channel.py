@@ -18,8 +18,6 @@ from zonecast import (
     DELIVERED,
     SILENCE,
     ChannelConfig,
-    DegenerateGeometryError,
-    InvalidSlotError,
     Packet,
     ZoneIndex,
     bundled_scenario,
@@ -30,6 +28,7 @@ from zonecast import (
     resolve_slot,
     run,
 )
+from zonecast.channel import DegenerateGeometryError, InvalidSlotError
 
 Z = ZoneIndex(0, 0)
 CFG = ChannelConfig()  # 100 m range, 3 dB margin, exponent 2

@@ -10,12 +10,12 @@ import pytest
 
 from zonecast import (
     BlockState,
-    PayloadSizeError,
     SensingMatrix,
     ZoneIndex,
     decode,
     encode,
 )
+from zonecast.sensing import PayloadSizeError
 
 Z = ZoneIndex(0, 0)
 

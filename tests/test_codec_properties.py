@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 
 from zonecast import (
     BlockState,
-    PayloadSizeError,
     SensingMatrix,
     ZoneIndex,
     aggregate,
@@ -24,6 +23,7 @@ from zonecast import (
     encode,
     sensing,
 )
+from zonecast.sensing import PayloadSizeError
 
 Z = ZoneIndex(0, 0)
 TABLES = (sensing._UNPACK, sensing._MERGE, sensing._QUAD_WEIGHTS)

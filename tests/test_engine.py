@@ -15,7 +15,6 @@ from zonecast import (
     Placement,
     RunMetrics,
     ScenarioConfig,
-    SWEEP_COLUMNS,
     build_world,
     bundled_scenario,
     engine,
@@ -24,6 +23,7 @@ from zonecast import (
     sweep,
     sweep_csv,
 )
+from zonecast.engine import SWEEP_COLUMNS
 
 LINE3 = bundled_scenario("fig5_line3")
 

@@ -7,13 +7,11 @@ import pytest
 
 from zonecast import (
     GridConfig,
-    OutOfZoneError,
     ZoneIndex,
-    block_centers,
     locate_block,
     locate_zone,
 )
-from zonecast.grid import BlockIndex
+from zonecast.grid import BlockIndex, OutOfZoneError, block_centers
 
 
 def test_default_grid_dimensions():

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zonecast import GridConfig, OutOfZoneError, ZoneIndex, locate_block, locate_zone
+from zonecast import GridConfig, ZoneIndex, locate_block, locate_zone
+from zonecast.grid import OutOfZoneError
 
 SIDES = [(100.0, 5.0), (20.0, 1.0), (15.0, 5.0), (0.3, 0.1), (3.3, 0.3), (10.0, 0.1)]
 ORIGINS = [(0.0, 0.0), (0.7, -1.3), (-254511.6, 1.0e6)]

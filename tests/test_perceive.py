@@ -17,14 +17,14 @@ from zonecast import (
     BlockState,
     GridConfig,
     GroundTruth,
-    OutOfZoneError,
     ZoneIndex,
     format_matrix,
-    has_uncertain,
     locate_block,
     locate_zone,
     perceive,
 )
+from zonecast.grid import OutOfZoneError
+from zonecast.sensing import has_uncertain
 
 G = GridConfig(zone_side=15.0, block_side=5.0)
 Z = ZoneIndex(0, 0)

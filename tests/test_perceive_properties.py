@@ -26,11 +26,11 @@ from zonecast import (
     GridConfig,
     GroundTruth,
     ZoneIndex,
-    block_centers,
     locate_block,
     locate_zone,
     perceive,
 )
+from zonecast.grid import block_centers
 
 # 10 x 10 blocks of 2 m: block centres lie on odd metres.
 G = GridConfig(zone_side=20.0, block_side=2.0)

@@ -12,7 +12,6 @@ from zonecast import (
     GroundTruth,
     Packet,
     SensingMatrix,
-    VehicleState,
     ZoneIndex,
     encode,
     init_vehicle,
@@ -20,6 +19,7 @@ from zonecast import (
     on_delivery,
     on_slot_begin,
 )
+from zonecast.protocol import VehicleState
 
 OUT = int(BlockState.OUT_OF_SENSING)
 UNC = int(BlockState.UNCERTAIN)

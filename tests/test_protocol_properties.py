@@ -21,9 +21,7 @@ from hypothesis import strategies as st
 
 from zonecast import (
     Packet,
-    PayloadSizeError,
     SensingMatrix,
-    VehicleState,
     ZoneIndex,
     aggregate,
     decode,
@@ -32,6 +30,8 @@ from zonecast import (
     on_delivery,
     on_slot_begin,
 )
+from zonecast.protocol import VehicleState
+from zonecast.sensing import PayloadSizeError
 
 Z = ZoneIndex(0, 0)
 OTHER_ZONE = ZoneIndex(1, 0)

@@ -13,10 +13,9 @@ from zonecast import (
     ScenarioConfig,
     bundled_scenario,
     load_scenario,
-    parse_scenario,
     save_scenario,
-    scenario_to_dict,
 )
+from zonecast.scenario import parse_scenario, scenario_to_dict
 from zonecast.presets import PRESETS
 
 
@@ -166,6 +165,11 @@ def test_missing_file_is_a_config_error(tmp_path):
         ("sensing_range: 1" + "0" * 400, "sensing_range: expected a finite"),
         ("grid: {zone_side: 1.0e+308, block_side: 1.0e-10}", "grid: zone_side"),
         ("grid: {zone_side: 1.0e+7, block_side: 1.0}", "grid: .* must be <= 1024, got 10000000"),
+        ("grid: {zone_side: -5}", "grid: zone_side and block_side must be positive"),
+        ("channel: {comm_range: 0}", "channel: comm_range must be positive"),
+        ("channel: {capture_threshold: -1}", "channel: capture_threshold must be non-negative"),
+        ("channel: {path_loss_exponent: 0}", "channel: path_loss_exponent must be positive"),
+        ("vehicle_radius: -1", "vehicle_radius must be non-negative"),
     ],
 )
 def test_out_of_range_values_are_config_errors(text, message):

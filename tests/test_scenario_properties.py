@@ -27,11 +27,10 @@ from zonecast import (
     Placement,
     ScenarioConfig,
     load_scenario,
-    parse_scenario,
     run,
     save_scenario,
-    scenario_to_dict,
 )
+from zonecast.scenario import parse_scenario, scenario_to_dict
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e6)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .grid import Position, ZoneIndex
+from .grid import ConfigError, Position, ZoneIndex
 
 DELIVERED = "delivered"
 COLLISION = "collision"
@@ -46,13 +46,13 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         if not self.comm_range > 0:
-            raise ValueError("comm_range must be positive")
+            raise ConfigError("comm_range must be positive")
         if not self.capture_threshold >= 0:
-            raise ValueError("capture_threshold must be non-negative")
+            raise ConfigError("capture_threshold must be non-negative")
         # received_power scales the exponent by 10 * log10(d), and every
         # positive double d has |log10(d)| < 324: below this no power overflows.
         if not 0 < self.path_loss_exponent * 3240 < math.inf:
-            raise ValueError("path_loss_exponent must be positive and below about 5.5e304")
+            raise ConfigError("path_loss_exponent must be positive and below about 5.5e304")
 
 
 @dataclass(frozen=True)

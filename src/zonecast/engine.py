@@ -33,8 +33,9 @@ from .channel import (
     link_table,
     resolve_slot,
 )
-from .grid import GridConfig, Position, ZoneIndex, locate_zone
+from .grid import ConfigError, GridConfig, Position, ZoneIndex, locate_zone
 from .protocol import (
+    Merges,
     VehicleState,
     init_vehicle,
     is_globally_converged,
@@ -44,10 +45,6 @@ from .protocol import (
 from .sensing import GroundTruth, SensingMatrix
 
 MAX_SLOTS_CAP = 10_000
-
-
-class ConfigError(ValueError):
-    """Scenario configuration is invalid or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -278,6 +275,9 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
     ends the run: converged if every matrix is identical, else stalled."""
     _, vehicles, world = build_world(cfg)
     states = [init_vehicle(vid, pos, world, cfg.grid, cfg.sensing_range) for vid, pos in vehicles]
+    merges: Merges = {}  # one merge memo for the run's vehicles
+    for s in states:
+        s.merges = merges
     if cfg.initiators is not None:
         chosen = set(cfg.initiators)
         for s in states:

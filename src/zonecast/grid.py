@@ -28,6 +28,10 @@ class BlockIndex(NamedTuple):
     row: int
 
 
+class ConfigError(ValueError):
+    """Scenario configuration is invalid or inconsistent."""
+
+
 class OutOfZoneError(ValueError):
     """A position does not lie inside the stated zone."""
 
@@ -43,16 +47,16 @@ class GridConfig:
 
     def __post_init__(self) -> None:
         if self.zone_side <= 0 or self.block_side <= 0:
-            raise ValueError("zone_side and block_side must be positive")
+            raise ConfigError("zone_side and block_side must be positive")
         ratio = self.zone_side / self.block_side
         if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(
+            raise ConfigError(
                 f"zone_side ({self.zone_side}) must be an integer multiple of "
                 f"block_side ({self.block_side})"
             )
         # At most 2**20 cells: a 256 KiB payload, or ~0.1 m blocks in a 100 m zone.
         if round(ratio) > 1024:
-            raise ValueError(f"zone_side / block_side must be <= 1024, got {round(ratio)}")
+            raise ConfigError(f"zone_side / block_side must be <= 1024, got {round(ratio)}")
 
     @cached_property
     def blocks_per_side(self) -> int:

@@ -7,7 +7,11 @@ what eventually silences the network.
 
 Each vehicle keeps its matrix's wire bytes and sends them as they are. A
 delivered frame byte-equal to them is counted and dropped without a decode
-or a merge: merging a matrix into itself changes no cell.
+or a merge: merging a matrix into itself changes no cell. Every other merge
+is kept in a memo that all vehicles of a run share, so each distinct
+(receiver bytes, frame bytes) pair is decoded and merged once per run, and
+``encode`` runs once per vehicle at set-up and once per memo miss whose
+merge changes the matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .channel import Packet
-from .grid import GridConfig, Position, locate_zone
+from .grid import GridConfig, Position, ZoneIndex, locate_zone
 from .sensing import (
     GroundTruth,
     PayloadSizeError,
@@ -29,11 +33,21 @@ from .sensing import (
 )
 
 
+# A merge memo: (zone, shape, receiver payload, frame payload) -> the merged
+# matrix, its payload and whether the merge changed the receiver's cells.
+Merges = dict[tuple[ZoneIndex, tuple[int, ...], bytes, bytes], tuple[SensingMatrix, bytes, bool]]
+
+
 @dataclass
 class VehicleState:
     """One vehicle's protocol state. ``payload`` is always
     ``encode(matrix)``: it is set on construction and again whenever
-    ``on_delivery``'s merge changes the matrix."""
+    ``on_delivery``'s merge changes the matrix.
+
+    ``merges`` is the memo ``on_delivery`` reads and fills. Each state gets
+    its own empty one; a run gives all its states the same dict, so a merged
+    ``SensingMatrix`` may be shared between vehicles. Nothing writes cells
+    in place, and ``RunMetrics.final_matrix`` is a copy."""
 
     id: int
     position: Position
@@ -43,6 +57,7 @@ class VehicleState:
     rx_slots: int = 0
     protocol_errors: int = 0
     payload: bytes = field(init=False, repr=False)
+    merges: Merges = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.payload = encode(self.matrix)
@@ -82,20 +97,31 @@ def on_delivery(v: VehicleState, pkt: Packet) -> None:
     the vehicle's own payload are then dropped: the receiver's own bytes
     decode, under its shape, to its own matrix, and ``merge(x, x) = x`` for
     every cell. Malformed payloads are dropped and counted as protocol
-    errors. A merge that changed any cell re-encodes the payload and arms
-    the vehicle for the next slot.
+    errors, every time. A merge that changed any cell re-encodes the payload
+    and arms the vehicle for the next slot.
+
+    Every other merge goes through ``v.merges``, keyed by zone, shape and
+    both payloads. The memo is exact: ``encode`` zero-pads, so for one shape
+    it is injective, and zone, shape and the receiver's payload fix the
+    receiver's matrix. The frame's decode and the merge are then a pure
+    function of the key, and a hit reuses the stored result without a
+    decode, merge or encode.
     """
     v.rx_slots += 1
     if pkt.zone != v.matrix.zone or pkt.payload == v.payload:
         return
-    try:
-        received = decode(pkt.payload, pkt.zone, v.matrix.m, v.matrix.n)
-    except PayloadSizeError:
-        v.protocol_errors += 1
-        return
-    v.matrix, changed = aggregate(v.matrix, received)
+    key = (pkt.zone, v.matrix.cells.shape, v.payload, pkt.payload)
+    merged = v.merges.get(key)
+    if merged is None:
+        try:
+            received = decode(pkt.payload, pkt.zone, v.matrix.m, v.matrix.n)
+        except PayloadSizeError:
+            v.protocol_errors += 1
+            return
+        matrix, changed = aggregate(v.matrix, received)
+        merged = v.merges[key] = (matrix, encode(matrix) if changed else v.payload, changed)
+    v.matrix, v.payload, changed = merged
     if changed:
-        v.payload = encode(v.matrix)
         v.pending_tx = True
 
 

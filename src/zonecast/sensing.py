@@ -15,9 +15,10 @@ table at ``(current << 2) | received``. Their results, like ``perceive``'s
 and ``copy``'s, hold two-bit values by construction, so they are wrapped by
 ``SensingMatrix._of`` without the range check that the public constructor
 applies to cells from outside. A delivered frame byte-equal to the
-receiver's kept wire bytes runs neither ``decode`` nor ``aggregate``, and
-``encode`` runs once per vehicle at set-up and once per merge that changes
-its matrix (see ``protocol``).
+receiver's kept wire bytes runs neither ``decode`` nor ``aggregate``, nor
+does one whose (receiver bytes, frame bytes) pair the run has already
+merged; ``encode`` runs once per vehicle at set-up and once per such memo
+miss whose merge changes the matrix (see ``protocol``).
 
 Perception is synthetic: ``perceive`` reads a ``GroundTruth`` of disc objects
 and vehicles. What does not depend on the viewer is built once per world,

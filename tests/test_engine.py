@@ -3,6 +3,7 @@ and seeded sweeps."""
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +18,16 @@ from zonecast import (
     ScenarioConfig,
     build_world,
     bundled_scenario,
+    channel,
     engine,
+    grid,
     load_scenario,
     run,
     sweep,
     sweep_csv,
 )
 from zonecast.engine import SWEEP_COLUMNS
+from zonecast.presets import PRESETS
 
 LINE3 = bundled_scenario("fig5_line3")
 
@@ -188,6 +192,32 @@ def test_max_slots_truncates_run():
     assert m.quiescent_slot == 2
 
 
+def test_final_matrix_is_a_copy_of_no_state(monkeypatch):
+    # The run's merge memo shares merged matrices between its vehicles; the
+    # reported matrix must be none of them.
+    states, init = [], engine.init_vehicle
+
+    def kept(*args):
+        states.append(init(*args))
+        return states[-1]
+
+    fig9 = PRESETS["paper-fig9"].base
+    cfg = replace(fig9, placement=replace(fig9.placement, count=40))
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "init_vehicle", kept)
+        m = run(cfg)
+    assert len(states) == 40
+    assert len({id(s.matrix) for s in states}) < 40  # the memo shared some
+    assert not any(np.shares_memory(m.final_matrix.cells, s.matrix.cells) for s in states)
+
+    def digest(r):
+        return r.trace, r.tx_slots, r.rx_slots, r.final_matrix.cells.tobytes()
+
+    before = digest(m)
+    m.final_matrix.cells[...] = 0
+    assert digest(run(cfg)) == before
+
+
 def test_run_is_deterministic():
     cfg = ScenarioConfig(
         channel=ChannelConfig(comm_range=30.0),
@@ -277,6 +307,18 @@ def test_config_bounds_are_config_errors():
         ScenarioConfig(seed=-1)
     with pytest.raises(ConfigError, match="radii"):
         ScenarioConfig(objects=(((20.0, 20.0), 0.0),))
+
+
+def test_grid_and_channel_bounds_are_config_errors():
+    assert ConfigError is grid.ConfigError is channel.ConfigError is engine.ConfigError
+    with pytest.raises(ConfigError, match="zone_side and block_side must be positive"):
+        GridConfig(zone_side=-5)
+    with pytest.raises(ConfigError, match="integer multiple"):
+        GridConfig(zone_side=100.0, block_side=7.0)
+    with pytest.raises(ConfigError, match="comm_range must be positive"):
+        ChannelConfig(comm_range=0)
+    with pytest.raises(ConfigError, match="path_loss_exponent"):
+        ChannelConfig(path_loss_exponent=math.inf)
 
 
 def _placed(**placement):

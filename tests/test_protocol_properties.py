@@ -7,7 +7,8 @@ deliveries run on both, over 2-4 vehicles of 2x2, 3x3, 20x20 and 1x4
 matrices. Frames carry the receiver's own bytes, another vehicle's, either
 with its padding bits set, a packet sent earlier, another zone's stamp, or
 a wrong length. After every step each field must match the reference, and
-the kept payload must equal ``encode(matrix)``.
+the kept payload must equal ``encode(matrix)``. A second test replays the
+same steps with one merge memo shared by all vehicles, as a run shares it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from zonecast import (
     on_delivery,
     on_slot_begin,
 )
-from zonecast.protocol import VehicleState
+from zonecast.protocol import Merges, VehicleState
 from zonecast.sensing import PayloadSizeError
 
 Z = ZoneIndex(0, 0)
@@ -173,3 +174,53 @@ def test_kept_payload_matches_reference(fleet, ops):
             on_delivery(states[i], pkt)
             reference_delivery(refs[i], pkt)
         assert_matches(states, refs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(), steps)
+def test_shared_merge_memo_matches_reference(fleet, ops):
+    """The same fleets and steps with one merge memo for every vehicle, as a
+    run gives them: a memo hit leaves every field as the reference's merge
+    does, and a repeated malformed frame is still counted each time."""
+    states = [
+        VehicleState(vid, (0.0, 0.0), SensingMatrix(zone, cells.copy()), pending_tx=p)
+        for vid, zone, cells, p in fleet
+    ]
+    merges: Merges = {}
+    for v in states:
+        v.merges = merges
+    refs = [Reference(vid, SensingMatrix(zone, cells.copy()), p) for vid, zone, cells, p in fleet]
+    sent: list[Packet] = []
+    assert_matches(states, refs)
+    for op in ops:
+        i = op[1] % len(states)
+        if op[0] == "send":
+            pkt = on_slot_begin(states[i])
+            assert pkt == reference_slot_begin(refs[i])
+            if pkt is not None:
+                sent.append(pkt)
+        else:
+            _, _, kind, j = op
+            pkt = frame(kind, refs[i], refs[j % len(refs)], sent, j)
+            on_delivery(states[i], pkt)
+            reference_delivery(refs[i], pkt)
+        assert_matches(states, refs)
+
+
+def test_memo_keeps_zones_and_shapes_apart():
+    # 00 00 00 00 is one byte under 2x2 and under 1x4, in either zone; so is
+    # the frame's 10 10 10 10. The memo must hand no vehicle a merge made
+    # under another zone or shape.
+    kinds = [(zone, shape) for zone in (Z, OTHER_ZONE) for shape in ((2, 2), (1, 4))]
+    fleet = [
+        VehicleState(vid, (0.0, 0.0), SensingMatrix(zone, np.zeros(shape, np.uint8)), False)
+        for vid, (zone, shape) in enumerate(kinds * 2)
+    ]
+    for v in fleet:
+        v.merges = fleet[0].merges
+    for v in fleet:  # the second four hit the entries the first four stored
+        on_delivery(v, Packet(9, v.matrix.zone, b"\xaa"))
+    assert len(fleet[0].merges) == 4
+    for v, (zone, shape) in zip(fleet, kinds * 2):
+        assert v.matrix == SensingMatrix(zone, np.full(shape, 2))
+        assert (v.payload, v.pending_tx) == (b"\xaa", True)

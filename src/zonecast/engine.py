@@ -282,7 +282,7 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
         chosen = set(cfg.initiators)
         for s in states:
             s.pending_tx = s.id in chosen
-    table = link_table([(s.id, s.position) for s in states], cfg.channel)
+    table = link_table(vehicles, cfg.channel)
     slots = mac(cfg, states, table)
     max_slots = cfg.max_slots or min(10 * len(states), MAX_SLOTS_CAP)
     trace: list[str] = []
@@ -335,9 +335,9 @@ def _backoffs(rng: np.random.Generator, cws: list[int]) -> list[int]:
 
 
 def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Iterator[Slot]:
-    """Contention rounds; see run_baseline. Station k is states[k] and
-    table.links[k] its neighbours. A round lists, in states order, only the
-    stations that heard a sole transmitter (delivered) or several (collision)."""
+    """Contention rounds; see run_baseline. Station k is states[k], its
+    neighbours table.links[k], linked both ways, and got[k] what it hears in
+    the round; a round lists, in states order, the stations whose got is set."""
     rng = np.random.default_rng([cfg.seed, 0x5DEECE66])
     cw = [cfg.csma.cw_min] * len(states)
     micro_ms = cfg.csma.micro_slot_us / 1000.0
@@ -348,25 +348,24 @@ def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> 
         # One draw per armed station, in states order; contend by (draw, id).
         draws = _backoffs(rng, [cw[k] for k in armed])
         order = sorted(zip(draws, [states[k].id for k in armed], armed))
-        sent: list[int] = []
-        for _, level in itertools.groupby(order, key=lambda o: o[0]):
-            # Carrier sense defers to an in-range station with a lower draw,
-            # i.e. one sent at an earlier level: `sent` grows only after the
-            # whole level has sensed it.
-            sent += [k for _, _, k in level if table.links[k].keys().isdisjoint(sent)]
-        txs = [on_slot_begin(states[k]) for k in sent]
-        # Per station, what the transmitters in range give it (a station is
-        # never its own neighbour): the sole one's packet, or a collision.
+        txs = []
         got: list[Optional[Outcome]] = [None] * len(states)
-        for k, pkt in zip(sent, txs):
-            delivered = Outcome(DELIVERED, pkt)
-            for r in table.links[k]:
-                got[r] = delivered if got[r] is None else collision
-        for k in sent:
-            collided = got[k] is not None  # another transmitter in range
-            cw[k] = min(cw[k] * 2, cfg.csma.cw_max) if collided else cfg.csma.cw_min
-            states[k].pending_tx = collided  # retry after a collision
-            got[k] = None  # half-duplex: a transmitter hears nothing
+        for _, level in itertools.groupby(order, key=lambda o: o[0]):
+            # Carrier sense: a contender that hears a sender of a lower draw
+            # defers. The level marks its neighbours once all of it sensed.
+            senders = [k for _, _, k in level if got[k] is None]
+            for k in senders:
+                pkt = on_slot_begin(states[k])
+                txs.append(pkt)
+                delivered = Outcome(DELIVERED, pkt)
+                for r in table.links[k]:
+                    got[r] = delivered if got[r] is None else collision
+            # A later contender in a sender's range deferred: only its level reaches it.
+            for k in senders:
+                collided = got[k] is not None
+                cw[k] = min(cw[k] * 2, cfg.csma.cw_max) if collided else cfg.csma.cw_min
+                states[k].pending_tx = collided  # retry after a collision
+                got[k] = None  # half-duplex: a sender hears nothing
         outcomes = {s.id: o for s, o in zip(states, got) if o is not None}
         # The first sender's draw; a round with nobody armed lasts one slot.
         elapsed += cfg.slot_duration_ms + (order[0][0] * micro_ms if order else 0)
@@ -388,11 +387,11 @@ def run(cfg: ScenarioConfig) -> RunMetrics:
 def run_baseline(cfg: ScenarioConfig) -> RunMetrics:
     """Same protocol over a contention MAC instead of synchronized slots.
 
-    Every armed vehicle draws a uniform backoff in [0, CW) micro-slots;
-    carrier sense defers to an earlier in-range transmitter, equal draws
-    within range collide (no capture, no constructive interference) and
+    Every armed vehicle draws a uniform backoff in [0, CW) micro-slots and
+    defers if its reception record shows a sender of a lower draw. Equal
+    draws in range collide (no capture, no constructive interference) and
     double the collider's CW. A receiver decodes only a sole in-range
-    transmitter. Each round costs slot_duration_ms plus the winning backoff.
+    sender. A round costs slot_duration_ms plus the winning backoff.
     """
     return _simulate(cfg, _csma, "round")
 

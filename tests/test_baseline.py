@@ -74,18 +74,48 @@ def test_forced_collision_retries_and_stalls():
     assert m.rx_slots == {1: 0, 2: 0}
 
 
-def test_bystander_sees_collision_not_delivery():
-    cfg = ScenarioConfig(
-        vehicle_radius=0.0,
-        vehicles=((1, (40.0, 50.0)), (2, (50.0, 50.0)), (3, (45.0, 60.0))),
-        initiators=(1, 2),
-        mac_mode="csma",
-        csma=CsmaConfig(cw_min=1, cw_max=1),
-        max_slots=3,
-    )
-    m = run_baseline(cfg)
-    assert m.trace[0] == "round 1 | tx 1,2 | 3:C"
-    assert m.rx_slots[3] == 0  # a collision is not a reception
+@pytest.mark.parametrize(
+    "vehicles, channel, csma, initiators, bystander",
+    [
+        # cw pinned to 1 draws 0 for both initiators, all in range.
+        pytest.param(
+            ((1, (40.0, 50.0)), (2, (50.0, 50.0)), (3, (45.0, 60.0))),
+            ChannelConfig(),
+            CsmaConfig(cw_min=1, cw_max=1),
+            (1, 2),
+            3,
+            id="equal-draws",
+        ),
+        # Hidden terminals: the ends are 80 m apart, out of each other's
+        # range, so neither defers to the other whatever they draw.
+        pytest.param(
+            ((1, (10.0, 50.0)), (2, (50.0, 50.0)), (3, (90.0, 50.0))),
+            ChannelConfig(comm_range=50.0),
+            CsmaConfig(),
+            (1, 3),
+            2,
+            id="hidden-terminal",
+        ),
+    ],
+)
+def test_bystander_sees_collision_not_delivery(vehicles, channel, csma, initiators, bystander):
+    for seed in range(6):
+        cfg = ScenarioConfig(
+            channel=channel,
+            vehicle_radius=0.0,
+            vehicles=vehicles,
+            initiators=initiators,
+            mac_mode="csma",
+            csma=csma,
+            max_slots=3,
+            seed=seed,
+        )
+        m = run_baseline(cfg)
+        head, tx, heard = m.trace[0].split(" | ")
+        assert head == "round 1"
+        assert set(tx.removeprefix("tx ").split(",")) == {str(i) for i in initiators}
+        assert heard == f"{bystander}:C"
+        assert m.rx_slots[bystander] == 0  # a collision is not a reception
 
 
 def test_carrier_sense_allows_at_most_one_in_range_transmitter():

@@ -6,9 +6,11 @@ matrices with ``==`` for convergence. Random sequences of sends and
 deliveries run on both, over 2-4 vehicles of 2x2, 3x3, 20x20 and 1x4
 matrices. Frames carry the receiver's own bytes, another vehicle's, either
 with its padding bits set, a packet sent earlier, another zone's stamp, or
-a wrong length. After every step each field must match the reference, and
-the kept payload must equal ``encode(matrix)``. A second test replays the
-same steps with one merge memo shared by all vehicles, as a run shares it.
+a wrong length; a broadcast hands one vehicle's bytes to all the others
+under each receiver's own zone. After every step each field must match the
+reference, and the kept payload must equal ``encode(matrix)``. A second
+test replays the same steps with one merge memo shared by all vehicles, as
+a run shares it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from zonecast import (
     on_delivery,
     on_slot_begin,
 )
-from zonecast.protocol import Merges, VehicleState
+from zonecast.protocol import VehicleState
 from zonecast.sensing import PayloadSizeError
 
 Z = ZoneIndex(0, 0)
@@ -80,27 +82,31 @@ def with_padding_set(data: bytes, cells: int) -> bytes:
     return data[:-1] + bytes([data[-1] | (1 << 2 * pad) - 1]) if pad else data
 
 
+MIXED_KINDS = tuple((zone, shape) for zone in (Z, OTHER_ZONE) for shape in ((2, 2), (1, 4)))
+
+
 @st.composite
 def fleets(draw):
-    """2-4 vehicles: (id, zone, cells, pending) each. Most fleets share one
-    zone and shape, and each of their vehicles starts from one base matrix
-    with up to two cells redrawn, so byte-equal frames and convergence both
-    happen. A mixed fleet draws a zone and a 2x2 or 1x4 shape per vehicle
-    for the base's cells, so its vehicles hold the same bytes but may differ
-    in zone or shape."""
+    """(id, zone, cells, pending) per vehicle. Most fleets hold 2-4 vehicles
+    of one zone and shape, each starting from one base matrix with up to two
+    cells redrawn, so byte-equal frames and convergence both happen. A mixed
+    fleet holds one vehicle of each (zone, shape) kind in ``MIXED_KINDS``,
+    each with the cells of one of two shared 4-cell matrices, so equal bytes
+    stand for matrices of different zones or shapes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mixed = draw(st.booleans())
-    base_shape = (2, 2) if mixed else draw(st.sampled_from(SHAPES))
-    base = rng.integers(0, 4, size=base_shape, dtype=np.uint8)
+    if draw(st.booleans()):
+        bases = rng.integers(0, 4, size=(2, 4), dtype=np.uint8)
+        return [
+            (vid, zone, bases[draw(st.integers(0, 1))].reshape(shape).copy(), draw(st.booleans()))
+            for vid, (zone, shape) in enumerate(MIXED_KINDS, 1)
+        ]
+    base = rng.integers(0, 4, size=draw(st.sampled_from(SHAPES)), dtype=np.uint8)
     fleet = []
     for vid in range(1, draw(st.integers(2, 4)) + 1):
-        shape = draw(st.sampled_from(((2, 2), (1, 4)))) if mixed else base_shape
-        zone = draw(st.sampled_from((Z, OTHER_ZONE))) if mixed else Z
-        cells = base.reshape(shape).copy()
-        if not mixed:
-            flat = cells.reshape(-1)
-            flat[rng.integers(flat.size, size=draw(st.integers(0, 2)))] = rng.integers(0, 4)
-        fleet.append((vid, zone, cells, draw(st.booleans())))
+        cells = base.copy()
+        flat = cells.reshape(-1)
+        flat[rng.integers(flat.size, size=draw(st.integers(0, 2)))] = rng.integers(0, 4)
+        fleet.append((vid, Z, cells, draw(st.booleans())))
     return fleet
 
 
@@ -108,7 +114,7 @@ FRAME_KINDS = ("own", "other", "own padded", "other padded", "sent", "cross-zone
 
 steps = st.lists(
     st.one_of(
-        st.tuples(st.just("send"), st.integers(0, 3)),
+        st.tuples(st.sampled_from(("send", "broadcast")), st.integers(0, 3)),
         st.tuples(
             st.just("deliver"),
             st.integers(0, 3),
@@ -151,13 +157,22 @@ def assert_matches(states: list[VehicleState], refs: list[Reference]) -> None:
     assert is_globally_converged(states) == reference_converged(refs)
 
 
-@settings(max_examples=100, deadline=None)
-@given(fleets(), steps)
-def test_kept_payload_matches_reference(fleet, ops):
+def deliver(v: VehicleState, r: Reference, pkt: Packet) -> None:
+    on_delivery(v, pkt)
+    reference_delivery(r, pkt)
+
+
+def replay(fleet, ops, shared_memo: bool) -> None:
+    """Run ``ops`` on the fleet's states and references, checking every field
+    after each step. A "broadcast" hands one vehicle's bytes to every other
+    vehicle, each under its own zone stamp."""
     states = [
         VehicleState(vid, (0.0, 0.0), SensingMatrix(zone, cells.copy()), pending_tx=p)
         for vid, zone, cells, p in fleet
     ]
+    if shared_memo:
+        for v in states:
+            v.merges = states[0].merges
     refs = [Reference(vid, SensingMatrix(zone, cells.copy()), p) for vid, zone, cells, p in fleet]
     sent: list[Packet] = []
     assert_matches(states, refs)
@@ -168,12 +183,21 @@ def test_kept_payload_matches_reference(fleet, ops):
             assert pkt == reference_slot_begin(refs[i])
             if pkt is not None:
                 sent.append(pkt)
+        elif op[0] == "broadcast":
+            data = encode(refs[i].matrix)
+            for k in range(len(states)):
+                if k != i:
+                    deliver(states[k], refs[k], Packet(refs[i].id, refs[k].matrix.zone, data))
         else:
             _, _, kind, j = op
-            pkt = frame(kind, refs[i], refs[j % len(refs)], sent, j)
-            on_delivery(states[i], pkt)
-            reference_delivery(refs[i], pkt)
+            deliver(states[i], refs[i], frame(kind, refs[i], refs[j % len(refs)], sent, j))
         assert_matches(states, refs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(), steps)
+def test_kept_payload_matches_reference(fleet, ops):
+    replay(fleet, ops, shared_memo=False)
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,29 +206,7 @@ def test_shared_merge_memo_matches_reference(fleet, ops):
     """The same fleets and steps with one merge memo for every vehicle, as a
     run gives them: a memo hit leaves every field as the reference's merge
     does, and a repeated malformed frame is still counted each time."""
-    states = [
-        VehicleState(vid, (0.0, 0.0), SensingMatrix(zone, cells.copy()), pending_tx=p)
-        for vid, zone, cells, p in fleet
-    ]
-    merges: Merges = {}
-    for v in states:
-        v.merges = merges
-    refs = [Reference(vid, SensingMatrix(zone, cells.copy()), p) for vid, zone, cells, p in fleet]
-    sent: list[Packet] = []
-    assert_matches(states, refs)
-    for op in ops:
-        i = op[1] % len(states)
-        if op[0] == "send":
-            pkt = on_slot_begin(states[i])
-            assert pkt == reference_slot_begin(refs[i])
-            if pkt is not None:
-                sent.append(pkt)
-        else:
-            _, _, kind, j = op
-            pkt = frame(kind, refs[i], refs[j % len(refs)], sent, j)
-            on_delivery(states[i], pkt)
-            reference_delivery(refs[i], pkt)
-        assert_matches(states, refs)
+    replay(fleet, ops, shared_memo=True)
 
 
 def test_memo_keeps_zones_and_shapes_apart():

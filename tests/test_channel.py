@@ -7,9 +7,11 @@ Expected powers are computed by hand from p = -10*exp*log10(d):
 20 m -> -26.02 dB (two of them sum to -23.01 dB, margin 3.01 dB).
 """
 
+import contextlib
 import math
 import types
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -152,6 +154,49 @@ def test_exact_tie_at_zero_threshold_goes_to_the_lowest_sender():
     tie = ChannelConfig(comm_range=20.0, capture_threshold=0.0, path_loss_exponent=3.0)
     stations = {1: (50.0, 50.0), 2: (52.0, 60.0), 3: (60.0, 52.0)}
     out = resolve(stations, [pkt(3, b"\x03" * 100), pkt(2, b"\x02" * 100)], tie)
+    assert out[1].kind == DELIVERED and out[1].packet.sender == 2
+
+
+def array_path():
+    """Send every slot of the block to resolve_slot's array path."""
+    return mock.patch.object(channel, "_DENSE_SLOT_LINKS", 0)
+
+
+BOTH_PATHS = pytest.mark.parametrize(
+    "path", [contextlib.nullcontext, array_path], ids=["scalar", "array"]
+)
+
+
+@BOTH_PATHS
+def test_capture_sum_is_a_left_to_right_fold(path):
+    # Listener 1 hears 2 and 3 at 1 m and 4 and 5 at 10**0.8 m, each its own
+    # group; under exponent 20 the others' ratios to 2 are 1.0, 1e-16 and
+    # 1e-16. Added left to right they stay 1.0, the 0 dB bound, so 2's frame
+    # is delivered. A compensated sum (math.fsum, or builtin sum from Python
+    # 3.12) reads 1.0000000000000002, which would collide.
+    cfg = ChannelConfig(comm_range=10.0, capture_threshold=0.0, path_loss_exponent=20.0)
+    far = 10**0.8
+    stations = {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (0.0, 1.0), 4: (-far, 0.0), 5: (0.0, -far)}
+    powers = [received_power(stations[s], (0.0, 0.0), cfg) for s in (2, 3, 4, 5)]
+    ratios = [10.0 ** ((p - powers[0]) / 10.0) for p in powers[1:]]
+    assert ratios == [1.0, 1e-16, 1e-16] and math.fsum(ratios) > 1.0
+    with path():
+        out = resolve(stations, [pkt(s, bytes([s]) * 100) for s in (2, 3, 4, 5)], cfg)
+    assert out[1].kind == DELIVERED and out[1].packet.sender == 2
+
+
+@BOTH_PATHS
+def test_a_ratio_exactly_on_the_bound_captures(path):
+    # Sender 3's ratio to sender 2 at listener 1 is 10.0 ** (p / 10), p its
+    # power at 15 m, and the margin is -p dB, so the bound is that same double
+    # and 2's frame is delivered. numpy 2.4's np.power (AVX-512, x86-64) reads
+    # the ratio one ulp above libm's pow: the array path must fold it again.
+    p = received_power((15.0, 0.0), (0.0, 0.0), CFG)
+    cfg = ChannelConfig(capture_threshold=-p)
+    assert 10.0 ** (-cfg.capture_threshold / 10.0) == 10.0 ** (p / 10.0)
+    stations = {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (15.0, 0.0)}
+    with path():
+        out = resolve(stations, [pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100)], cfg)
     assert out[1].kind == DELIVERED and out[1].packet.sender == 2
 
 

@@ -6,9 +6,14 @@ power ties) are common, and 3-4-5 triangles put senders at exactly
 comm_range. Payloads come from a small alphabet, so several
 identical-payload groups form in most slots. The link table lists the
 stations in a drawn order, and the outcomes must come back by ascending id.
+
+These slots are small, so resolve_slot decides them with its scalar loop.
+The array-path tests patch its cut to 0 inside the test body, so that the
+ranked rows and the float filter decide every slot.
 """
 
 import math
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +25,7 @@ from zonecast import (
     ChannelConfig,
     Packet,
     ZoneIndex,
+    channel,
     link_table,
     received_power,
     resolve_slot,
@@ -113,6 +119,78 @@ def test_resolve_slot_matches_pairwise_reference(slot):
     got = resolve_slot(packets, link_table(table_order, cfg), cfg)
     assert as_pairs(got) == reference(packets, stations, cfg)
     assert list(got) == sorted(vid for vid, _ in stations)
+
+
+def array_path():
+    """Send every slot of the block to resolve_slot's array path."""
+    return mock.patch.object(channel, "_DENSE_SLOT_LINKS", 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slots())
+@example(SQRT104_TIE)
+def test_array_path_matches_pairwise_reference(slot):
+    stations, packets, table_order, cfg = slot
+    with array_path():
+        got = resolve_slot(packets, link_table(table_order, cfg), cfg)
+    assert as_pairs(got) == reference(packets, stations, cfg)
+    assert list(got) == sorted(vid for vid, _ in stations)
+
+
+@st.composite
+def lattice_slots(draw):
+    """Up to 40 stations on a 0.5 m lattice, as in the bundled grid9 and fig5
+    scenarios: many listeners hear two groups at one distance, an exact
+    0 dB tie whose ratio sum of 1.0 sits exactly on the 0 dB bound."""
+    points = draw(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            min_size=6,
+            max_size=40,
+            unique=True,
+        )
+    )
+    ids = draw(st.permutations(range(1, 41)))[: len(points)]
+    stations = [(vid, (x / 2, y / 2)) for vid, (x, y) in zip(ids, points)]
+    packets = []
+    for vid, _ in stations:
+        label = draw(st.sampled_from([None, None, None, 0, 1, 2, 3, 4, 5]))
+        if label is not None:
+            packets.append(Packet(vid, ZONES[label // 3], bytes([label]) * 4))
+    cfg = ChannelConfig(
+        comm_range=draw(st.sampled_from([0.5, 1.0, 1.5])),
+        capture_threshold=draw(st.sampled_from([0.0, 0.0, 3.0])),
+        path_loss_exponent=draw(st.sampled_from([2.0, 3.0])),
+    )
+    return stations, packets, draw(st.permutations(stations)), cfg
+
+
+# Station 1 hears 2 and 3, 0.5 m away on either side, and nothing else.
+LATTICE_TIE = (
+    [(1, (1.0, 1.0)), (2, (0.5, 1.0)), (3, (1.5, 1.0)), (4, (1.0, 0.5))],
+    [Packet(2, ZONES[0], bytes([2]) * 4), Packet(3, ZONES[0], bytes([3]) * 4)],
+    [(4, (1.0, 0.5)), (3, (1.5, 1.0)), (2, (0.5, 1.0)), (1, (1.0, 1.0))],
+    ChannelConfig(comm_range=0.5, capture_threshold=0.0, path_loss_exponent=3.0),
+)
+
+
+def test_array_filter_falls_back_on_lattice_ties_and_agrees():
+    folds = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_slots())
+    @example(LATTICE_TIE)
+    def check(slot):
+        stations, packets, table_order, cfg = slot
+        with array_path(), mock.patch.object(
+            channel, "_captures", wraps=channel._captures
+        ) as fold:
+            got = resolve_slot(packets, link_table(table_order, cfg), cfg)
+        folds.append(fold.call_count)  # on the array path, only close calls fold
+        assert as_pairs(got) == reference(packets, stations, cfg)
+
+    check()
+    assert sum(folds) > 0
 
 
 @settings(max_examples=100, deadline=None)

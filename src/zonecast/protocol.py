@@ -12,6 +12,11 @@ is kept in a memo that all vehicles of a run share, so each distinct
 (receiver bytes, frame bytes) pair is decoded and merged once per run, and
 ``encode`` runs once per vehicle at set-up and once per memo miss whose
 merge changes the matrix.
+
+A memo miss stays in bytes: ``decode`` wraps the frame's payload, the merge
+is a handful of bitwise operations on both payloads read as Python ints,
+and ``encode`` returns the merged bytes, so after set-up no cell array is
+built on the delivery path (see ``sensing``).
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ def on_delivery(v: VehicleState, pkt: Packet) -> None:
     v.rx_slots += 1
     if pkt.zone != v.matrix.zone or pkt.payload == v.payload:
         return
-    key = (pkt.zone, v.matrix.cells.shape, v.payload, pkt.payload)
+    key = (pkt.zone, v.matrix.shape, v.payload, pkt.payload)
     merged = v.merges.get(key)
     if merged is None:
         try:
@@ -133,4 +138,4 @@ def is_globally_converged(all_states: list[VehicleState]) -> bool:
     empty list has nobody pending and no two matrices that differ."""
     if any(v.pending_tx for v in all_states):
         return False
-    return len({(v.matrix.zone, v.matrix.cells.shape, v.payload) for v in all_states}) <= 1
+    return len({(v.matrix.zone, v.matrix.shape, v.payload) for v in all_states}) <= 1

@@ -7,18 +7,17 @@ content. The four values are NO_OBJECT (10), OBJECT (11), OUT_OF_SENSING (00)
 and UNCERTAIN (01, view blocked). With the default 20x20 zone the matrix
 serializes to exactly 100 bytes.
 
-The codec and the merge sit on the delivery path, so each is one array
-operation: ``decode`` gathers four cells per payload byte from a 256 x 4
-unpack table, ``encode`` packs each group of four cells as one ``uint8`` dot
-product with (64, 16, 4, 1), and ``aggregate`` reads a flat 16-entry merge
-table at ``(current << 2) | received``. Their results, like ``perceive``'s
-and ``copy``'s, hold two-bit values by construction, so they are wrapped by
-``SensingMatrix._of`` without the range check that the public constructor
-applies to cells from outside. A delivered frame byte-equal to the
-receiver's kept wire bytes runs neither ``decode`` nor ``aggregate``, nor
-does one whose (receiver bytes, frame bytes) pair the run has already
-merged; ``encode`` runs once per vehicle at set-up and once per such memo
-miss whose merge changes the matrix (see ``protocol``).
+A matrix is backed by its cell array or by its wire bytes, never both, and
+the delivery path stays in bytes: ``decode`` keeps the payload, ``aggregate``
+merges two payloads bitwise as Python ints, and ``encode`` returns the kept
+bytes. Only a cells-backed matrix, ``perceive``'s or one built from cells,
+is ever packed. ``perceive``'s and ``copy``'s cells hold two-bit values by
+construction, so ``SensingMatrix._of`` wraps them without the range check
+that the public constructor applies to cells from outside. A delivered
+frame byte-equal to the receiver's kept wire bytes runs neither ``decode``
+nor ``aggregate``, nor does one whose (receiver bytes, frame bytes) pair
+the run has already merged; ``encode`` runs once per vehicle at set-up and
+once per such memo miss whose merge changes the matrix (see ``protocol``).
 
 Perception is synthetic: ``perceive`` reads a ``GroundTruth`` of disc objects
 and vehicles. What does not depend on the viewer is built once per world,
@@ -72,32 +71,49 @@ class IncompatibleMatrixError(ValueError):
     """Two matrices cannot be aggregated (zone or shape mismatch)."""
 
 
-@dataclass(eq=False)
 class SensingMatrix:
     """One vehicle's 2-bit block states for a zone.
 
     ``cells[row, col]`` holds the state of block (col, row); row 0 is the
     zone's southernmost block row.
+
+    A matrix is backed by exactly one of two things: its cell array or its
+    wire bytes (``decode``'s and ``aggregate``'s results). Reading ``cells``
+    on a wire-backed matrix unpacks a fresh, writeable array that becomes
+    the backing, and the bytes are dropped, so a write into it is seen by
+    the next ``encode``; assigning ``cells`` replaces the backing.
     """
 
-    zone: ZoneIndex
-    cells: np.ndarray
+    __slots__ = ("zone", "shape", "_cells", "_wire")
 
-    def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=np.uint8)
+    def __init__(self, zone: ZoneIndex, cells: np.ndarray) -> None:
+        cells = np.asarray(cells, dtype=np.uint8)
         if cells.ndim != 2:
             raise ValueError("cells must be a 2-D array")
         if cells.size and cells.max() > 3:
             raise ValueError("cell values must fit in two bits")
+        self.zone = zone
         self.cells = cells
 
     @property
+    def cells(self) -> np.ndarray:
+        if self._cells is None:
+            m, n = self.shape
+            flat = _UNPACK.take(np.frombuffer(self._wire, dtype=np.uint8), axis=0)
+            self._cells, self._wire = flat.reshape(-1)[: m * n].reshape(m, n), None
+        return self._cells
+
+    @cells.setter
+    def cells(self, cells: np.ndarray) -> None:
+        self.shape, self._cells, self._wire = cells.shape, cells, None
+
+    @property
     def m(self) -> int:
-        return self.cells.shape[0]
+        return self.shape[0]
 
     @property
     def n(self) -> int:
-        return self.cells.shape[1]
+        return self.shape[1]
 
     @classmethod
     def _of(cls, zone: ZoneIndex, cells: np.ndarray) -> "SensingMatrix":
@@ -108,17 +124,30 @@ class SensingMatrix:
         mat.cells = cells
         return mat
 
+    @classmethod
+    def _wired(cls, zone: ZoneIndex, shape: tuple[int, int], wire: bytes) -> "SensingMatrix":
+        """Wrap the ceil(m*n/4) wire bytes of an m x n matrix whose padding
+        bits are zero."""
+        mat = object.__new__(cls)
+        mat.zone, mat.shape, mat._cells, mat._wire = zone, shape, None, wire
+        return mat
+
     def copy(self) -> "SensingMatrix":
-        return SensingMatrix._of(self.zone, self.cells.copy())
+        if self._wire is not None:  # bytes are immutable: share them
+            return SensingMatrix._wired(self.zone, self.shape, self._wire)
+        return SensingMatrix._of(self.zone, self._cells.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SensingMatrix):
             return NotImplemented
         return (
             self.zone == other.zone
-            and self.cells.shape == other.cells.shape
-            and bool(np.array_equal(self.cells, other.cells))
+            and self.shape == other.shape
+            and encode(self) == encode(other)
         )
+
+    def __repr__(self) -> str:
+        return f"SensingMatrix(zone={self.zone!r}, cells={self.cells!r})"
 
 
 _QUAD_WEIGHTS = np.array([64, 16, 4, 1], dtype=np.uint8)
@@ -138,10 +167,14 @@ def encode(mat: SensingMatrix) -> bytes:
     byte is padded with zero bits so equal matrices still encode to equal
     bytes.
 
-    Each byte is the ``uint8`` dot product of its four cells with
-    (64, 16, 4, 1); two-bit cells sum to at most 255, so it cannot wrap.
+    A wire-backed matrix returns its bytes. A cells-backed one is packed
+    afresh on every call, as its cells may have been written in place: each
+    byte is the ``uint8`` dot product of its four cells with (64, 16, 4, 1);
+    two-bit cells sum to at most 255, so it cannot wrap.
     """
-    flat = mat.cells.reshape(-1)
+    if mat._wire is not None:
+        return mat._wire
+    flat = mat._cells.reshape(-1)
     if flat.size % 4:
         flat = np.concatenate([flat, np.zeros(-flat.size % 4, dtype=np.uint8)])
     return (flat.reshape(-1, 4) @ _QUAD_WEIGHTS).tobytes()
@@ -150,9 +183,8 @@ def encode(mat: SensingMatrix) -> bytes:
 def decode(data: bytes, zone: ZoneIndex, m: int, n: int) -> SensingMatrix:
     """Inverse of encode; raises PayloadSizeError on a wrong-length payload.
 
-    One gather through the 256 x 4 unpack table turns the payload into a
-    fresh cell array; padding cells past m*n are dropped whatever their
-    bits.
+    Builds no array: the result is backed by the payload's bytes, with the
+    padding bits past m*n cells cleared, so it encodes as its cells would.
     """
     expected = (m * n + 3) // 4
     data = bytes(data)
@@ -160,12 +192,16 @@ def decode(data: bytes, zone: ZoneIndex, m: int, n: int) -> SensingMatrix:
         raise PayloadSizeError(
             f"expected {expected} bytes for a {m}x{n} matrix, got {len(data)}"
         )
-    cells = _UNPACK.take(np.frombuffer(data, dtype=np.uint8), axis=0)
-    return SensingMatrix._of(zone, cells.reshape(-1)[: m * n].reshape(m, n))
+    pad_bits = -(m * n) % 4 * 2
+    if data[-1:] and data[-1] & ((1 << pad_bits) - 1):
+        data = data[:-1] + bytes((data[-1] >> pad_bits << pad_bits,))
+    return SensingMatrix._wired(zone, (m, n), data)
 
 
 def _merge_table() -> np.ndarray:
-    """Flat 16-entry lookup: table[(current << 2) | received] -> merged cell."""
+    """The per-cell merge rule as a flat 16-entry table:
+    table[(current << 2) | received] -> merged cell. ``aggregate`` applies
+    the same rule bitwise to whole payloads."""
     table = np.empty(16, dtype=np.uint8)
     for cur in range(4):
         for rec in range(4):
@@ -195,20 +231,33 @@ def aggregate(
     else is left alone. Returns the merged matrix and whether any cell's
     value actually differs from before.
 
-    The merge is one read of the 16-entry table at ``(current << 2) |
-    received``, and ``changed`` compares the two cell buffers byte for byte.
+    The merge runs on both payloads at once, each read as one big-endian
+    int (SWAR, "SIMD within a register"), and returns a wire-backed matrix.
+    ``lo`` holds the low bit b0 of every pair, so ``c1``/``r1`` mark the
+    sensed cells of each side at b0. ``fill`` marks the cells that take the
+    received value; ``conf`` the cells sensed on both sides whose values
+    differ, which is their b0 as both b1 are set; they become UNCERTAIN,
+    01, the ``conf`` bit itself. ``keep`` marks the rest. This is
+    ``_MERGE`` cell for cell. Both paddings are zero, so the merged padding
+    is too and ``changed`` is a byte compare.
     """
     if current.zone != received.zone:
         raise IncompatibleMatrixError(
             f"zone mismatch: {tuple(current.zone)} vs {tuple(received.zone)}"
         )
-    if current.cells.shape != received.cells.shape:
+    if current.shape != received.shape:
         raise IncompatibleMatrixError(
-            f"shape mismatch: {current.cells.shape} vs {received.cells.shape}"
+            f"shape mismatch: {current.shape} vs {received.shape}"
         )
-    merged = _MERGE.take((current.cells << 2) | received.cells)
-    changed = merged.tobytes() != current.cells.tobytes()
-    return SensingMatrix._of(current.zone, merged), changed
+    cur = encode(current)
+    c, r = int.from_bytes(cur, "big"), int.from_bytes(encode(received), "big")
+    lo = int.from_bytes(b"\x55" * len(cur), "big")
+    c1, r1 = c >> 1 & lo, r >> 1 & lo
+    fill = r1 & ~c1
+    conf = r1 & c1 & (c ^ r)
+    keep = lo & ~(fill | conf)
+    out = (c & (keep | keep << 1) | r & (fill | fill << 1) | conf).to_bytes(len(cur), "big")
+    return SensingMatrix._wired(current.zone, current.shape, out), out != cur
 
 
 def has_uncertain(mat: SensingMatrix) -> bool:

@@ -60,7 +60,9 @@ def reference(packets, stations, cfg):
         else:
             audible.sort(key=lambda item: (-item[0], item[1]))
             strongest = audible[0][0]
-            others = sum(10.0 ** ((p - strongest) / 10.0) for p, _, _ in audible[1:])
+            others = 0.0  # a plain left-to-right fold: builtin sum compensates on 3.12+
+            for p, _, _ in audible[1:]:
+                others += 10.0 ** ((p - strongest) / 10.0)
             if others <= 10.0 ** (-cfg.capture_threshold / 10.0):
                 out[rid] = (DELIVERED, audible[0][2])
             else:

@@ -1,5 +1,5 @@
-"""Property tests: the table-driven codec and merge against the bit-shift
-implementations they replaced, kept below as references.
+"""Property tests: the codec and the bitwise merge against the bit-shift
+codec and the 2-D merge table, kept below as references.
 
 Shapes run from 1x1 to 23x23, so most cell counts are not a multiple of
 four and the last payload byte carries padding bits. Payloads arrive as
@@ -10,7 +10,7 @@ with neither its inputs nor a lookup table.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -210,3 +210,71 @@ def test_copy_is_fresh_and_equal():
     mat = SensingMatrix(Z, [[1, 2], [3, 0]])
     dup = mat.copy()
     assert dup == mat and not np.shares_memory(dup.cells, mat.cells)
+
+
+def set_padding(raw: bytes, cells: int) -> bytes:
+    """``raw`` with every padding bit past ``cells`` set."""
+    pad_bits = -cells % 4 * 2
+    return raw[:-1] + bytes((raw[-1] | (1 << pad_bits) - 1,))
+
+
+@st.composite
+def payload_pairs(draw):
+    """An m x n shape whose cell count is not a multiple of four and two
+    right-length payloads for it, both with their padding bits set: a
+    current one and a received one that is independent of it or holds some
+    of its cells and 00 elsewhere (a merge that may change nothing)."""
+    m, n = draw(st.tuples(dims, dims).filter(lambda mn: mn[0] * mn[1] % 4))
+    size = (m * n + 3) // 4
+    cur = draw(st.binary(min_size=size, max_size=size))
+    if draw(st.booleans()):
+        rec = draw(st.binary(min_size=size, max_size=size))
+    else:  # each bit of a nibble keeps or clears one cell of a byte
+        nibbles = draw(st.lists(st.integers(0, 15), min_size=size, max_size=size))
+        masks = [sum(3 << 2 * k for k in range(4) if q >> k & 1) for q in nibbles]
+        rec = bytes(b & k for b, k in zip(cur, masks))
+    return m, n, set_padding(cur, m * n), set_padding(rec, m * n)
+
+
+_WIDE = np.random.default_rng(64).integers(0, 256, size=(2, 64 * 64 // 4), dtype=np.uint8)
+
+
+@given(payload_pairs())
+@settings(max_examples=200)
+@example((64, 64, _WIDE[0].tobytes(), _WIDE[1].tobytes()))
+def test_merging_decoded_payloads_matches_the_reference_merge_of_their_cells(case):
+    m, n, cur, rec = case
+    merged, changed = aggregate(decode(cur, Z, m, n), decode(rec, Z, m, n))
+    want, want_changed = reference_aggregate(
+        reference_decode(cur, Z, m, n), reference_decode(rec, Z, m, n)
+    )
+    assert encode(merged) == reference_encode(want)
+    assert changed is want_changed
+    assert merged.shape == (m, n) and np.array_equal(merged.cells, want.cells)
+
+
+def test_a_write_into_cells_is_seen_by_the_next_encode():
+    rows = [[3, 2, 0], [1, 2, 2], [0, 0, 3]]  # nine cells: the last byte pads
+    fresh = SensingMatrix(Z, rows)
+    encode(fresh)
+    decoded = decode(encode(fresh), Z, 3, 3)
+    free = decode(encode(SensingMatrix(Z, np.full((3, 3), 2))), Z, 3, 3)
+    merged, _ = aggregate(decoded, free)
+    reencoded = decode(encode(fresh), Z, 3, 3)
+    encode(reencoded)
+    for mat in (fresh, decoded, merged, reencoded):
+        before = encode(mat)
+        mat.cells[2, 2] ^= 1
+        assert encode(mat) != before
+        assert encode(mat) == reference_encode(SensingMatrix(Z, mat.cells.copy()))
+
+
+def test_comparing_a_wire_backed_and_a_cells_backed_matrix_converts_neither():
+    cells_backed = SensingMatrix(Z, [[3, 2, 0], [1, 2, 2]])
+    other_cells = SensingMatrix(Z, [[3, 2, 0], [1, 2, 3]])
+    wire_backed = decode(encode(cells_backed), Z, 2, 3)
+    assert wire_backed == cells_backed and cells_backed == wire_backed
+    assert wire_backed != other_cells and other_cells != wire_backed
+    for mat in (cells_backed, other_cells):
+        assert mat._wire is None and mat._cells is not None
+    assert wire_backed._cells is None and wire_backed._wire == encode(cells_backed)

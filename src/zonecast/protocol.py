@@ -9,14 +9,13 @@ Each vehicle keeps its matrix's wire bytes and sends them as they are. A
 delivered frame byte-equal to them is counted and dropped without a decode
 or a merge: merging a matrix into itself changes no cell. Every other merge
 is kept in a memo that all vehicles of a run share, so each distinct
-(receiver bytes, frame bytes) pair is decoded and merged once per run, and
-``encode`` runs once per vehicle at set-up and once per memo miss whose
-merge changes the matrix.
+(receiver bytes, frame bytes) pair is decoded and merged once per run.
 
-A memo miss stays in bytes: ``decode`` wraps the frame's payload, the merge
-is a handful of bitwise operations on both payloads read as Python ints,
-and ``encode`` returns the merged bytes, so after set-up no cell array is
-built on the delivery path (see ``sensing``).
+A run stays in bytes from perception on: ``perceive`` packs each vehicle's
+cells once and hands out a wire-backed matrix, ``decode`` wraps the frame's
+payload, the merge is a handful of bitwise operations on both payloads read
+as Python ints, and ``encode`` returns the kept bytes, so no cell array is
+built after perception (see ``sensing``).
 """
 
 from __future__ import annotations

@@ -8,16 +8,14 @@ and UNCERTAIN (01, view blocked). With the default 20x20 zone the matrix
 serializes to exactly 100 bytes.
 
 A matrix is backed by its cell array or by its wire bytes, never both, and
-the delivery path stays in bytes: ``decode`` keeps the payload, ``aggregate``
-merges two payloads bitwise as Python ints, and ``encode`` returns the kept
-bytes. Only a cells-backed matrix, ``perceive``'s or one built from cells,
-is ever packed. ``perceive``'s and ``copy``'s cells hold two-bit values by
-construction, so ``SensingMatrix._of`` wraps them without the range check
-that the public constructor applies to cells from outside. A delivered
-frame byte-equal to the receiver's kept wire bytes runs neither ``decode``
-nor ``aggregate``, nor does one whose (receiver bytes, frame bytes) pair
-the run has already merged; ``encode`` runs once per vehicle at set-up and
-once per such memo miss whose merge changes the matrix (see ``protocol``).
+a run stays in bytes: ``perceive`` packs its cells once and returns a
+wire-backed matrix, ``decode`` keeps the payload, ``aggregate`` merges two
+payloads bitwise as Python ints, ``has_uncertain`` tests the bytes, and
+``encode`` returns the kept bytes. A cells-backed matrix exists only where
+a caller builds one from cells or reads ``cells``. A delivered frame
+byte-equal to the receiver's kept wire bytes runs neither ``decode`` nor
+``aggregate``, nor does one whose (receiver bytes, frame bytes) pair the
+run has already merged (see ``protocol``).
 
 Perception is synthetic: ``perceive`` reads a ``GroundTruth`` of disc objects
 and vehicles. What does not depend on the viewer is built once per world,
@@ -78,22 +76,24 @@ class SensingMatrix:
     zone's southernmost block row.
 
     A matrix is backed by exactly one of two things: its cell array or its
-    wire bytes (``decode``'s and ``aggregate``'s results). Reading ``cells``
-    on a wire-backed matrix unpacks a fresh, writeable array that becomes
-    the backing, and the bytes are dropped, so a write into it is seen by
-    the next ``encode``; assigning ``cells`` replaces the backing.
+    wire bytes (``perceive``'s, ``decode``'s and ``aggregate``'s results).
+    Reading ``cells`` on a wire-backed matrix unpacks a fresh, writeable
+    array that becomes the backing, and the bytes are dropped, so a write
+    into it is seen by the next ``encode``; assigning ``cells`` replaces the
+    backing.
     """
 
     __slots__ = ("zone", "shape", "_cells", "_wire")
 
     def __init__(self, zone: ZoneIndex, cells: np.ndarray) -> None:
-        cells = np.asarray(cells, dtype=np.uint8)
+        cells = np.asarray(cells)
         if cells.ndim != 2:
             raise ValueError("cells must be a 2-D array")
-        if cells.size and cells.max() > 3:
-            raise ValueError("cell values must fit in two bits")
+        # Checked before the cast, which would wrap 259 to 3 and cut 2.7 to 2.
+        if cells.size and (cells.dtype.kind not in "biu" or cells.min() < 0 or cells.max() > 3):
+            raise ValueError("cell values must be integers that fit in two bits")
         self.zone = zone
-        self.cells = cells
+        self.cells = cells.astype(np.uint8, copy=False)
 
     @property
     def cells(self) -> np.ndarray:
@@ -116,15 +116,6 @@ class SensingMatrix:
         return self.shape[1]
 
     @classmethod
-    def _of(cls, zone: ZoneIndex, cells: np.ndarray) -> "SensingMatrix":
-        """Wrap a 2-D ``uint8`` array whose values are known to fit in two
-        bits, without the public constructor's conversion and range check."""
-        mat = object.__new__(cls)
-        mat.zone = zone
-        mat.cells = cells
-        return mat
-
-    @classmethod
     def _wired(cls, zone: ZoneIndex, shape: tuple[int, int], wire: bytes) -> "SensingMatrix":
         """Wrap the ceil(m*n/4) wire bytes of an m x n matrix whose padding
         bits are zero."""
@@ -135,7 +126,7 @@ class SensingMatrix:
     def copy(self) -> "SensingMatrix":
         if self._wire is not None:  # bytes are immutable: share them
             return SensingMatrix._wired(self.zone, self.shape, self._wire)
-        return SensingMatrix._of(self.zone, self._cells.copy())
+        return SensingMatrix(self.zone, self._cells.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SensingMatrix):
@@ -168,13 +159,18 @@ def encode(mat: SensingMatrix) -> bytes:
     bytes.
 
     A wire-backed matrix returns its bytes. A cells-backed one is packed
-    afresh on every call, as its cells may have been written in place: each
-    byte is the ``uint8`` dot product of its four cells with (64, 16, 4, 1);
-    two-bit cells sum to at most 255, so it cannot wrap.
+    afresh on every call, as its cells may have been written in place.
     """
     if mat._wire is not None:
         return mat._wire
-    flat = mat._cells.reshape(-1)
+    return _pack(mat._cells)
+
+
+def _pack(cells: np.ndarray) -> bytes:
+    """``encode``'s bytes of a ``uint8`` array of two-bit cells in row-major
+    order. Each byte is the ``uint8`` dot product of its four cells with
+    (64, 16, 4, 1); two-bit cells sum to at most 255, so it cannot wrap."""
+    flat = cells.reshape(-1)
     if flat.size % 4:
         flat = np.concatenate([flat, np.zeros(-flat.size % 4, dtype=np.uint8)])
     return (flat.reshape(-1, 4) @ _QUAD_WEIGHTS).tobytes()
@@ -198,37 +194,15 @@ def decode(data: bytes, zone: ZoneIndex, m: int, n: int) -> SensingMatrix:
     return SensingMatrix._wired(zone, (m, n), data)
 
 
-def _merge_table() -> np.ndarray:
-    """The per-cell merge rule as a flat 16-entry table:
-    table[(current << 2) | received] -> merged cell. ``aggregate`` applies
-    the same rule bitwise to whole payloads."""
-    table = np.empty(16, dtype=np.uint8)
-    for cur in range(4):
-        for rec in range(4):
-            if rec >> 1 == 0:
-                out = cur  # received cell carries no information
-            elif cur >> 1 == 0:
-                out = rec  # fill an unsensed cell with the sensed report
-            elif cur != rec:
-                out = BlockState.UNCERTAIN  # sensed but contradictory
-            else:
-                out = cur
-            table[cur << 2 | rec] = out
-    return table
-
-
-_MERGE = _merge_table()
-_MERGE.flags.writeable = False
-
-
 def aggregate(
     current: SensingMatrix, received: SensingMatrix
 ) -> tuple[SensingMatrix, bool]:
     """Element-wise merge of a received matrix into the current one.
 
-    Per cell: a sensed received value fills an unsensed current cell;
-    two sensed values that disagree reset the cell to UNCERTAIN; everything
-    else is left alone. Returns the merged matrix and whether any cell's
+    Per cell: a received cell that was not sensed (00 or 01) leaves the
+    current cell alone; a sensed one (10 or 11) fills a current cell that
+    was not sensed; two sensed values that disagree become UNCERTAIN (01);
+    two that agree stay. Returns the merged matrix and whether any cell's
     value actually differs from before.
 
     The merge runs on both payloads at once, each read as one big-endian
@@ -237,9 +211,8 @@ def aggregate(
     sensed cells of each side at b0. ``fill`` marks the cells that take the
     received value; ``conf`` the cells sensed on both sides whose values
     differ, which is their b0 as both b1 are set; they become UNCERTAIN,
-    01, the ``conf`` bit itself. ``keep`` marks the rest. This is
-    ``_MERGE`` cell for cell. Both paddings are zero, so the merged padding
-    is too and ``changed`` is a byte compare.
+    01, the ``conf`` bit itself. ``keep`` marks the rest. Both paddings are
+    zero, so the merged padding is too and ``changed`` is a byte compare.
     """
     if current.zone != received.zone:
         raise IncompatibleMatrixError(
@@ -261,9 +234,13 @@ def aggregate(
 
 
 def has_uncertain(mat: SensingMatrix) -> bool:
-    """True iff any cell is UNCERTAIN (01). Compares with the plain int: an
-    IntEnum operand sends numpy down its slow scalar path."""
-    return bool((mat.cells == BlockState.UNCERTAIN.value).any())
+    """True iff any cell is UNCERTAIN (01), tested on the wire bytes read as
+    one int ``x``: a cell is 01 where b1 is clear and b0 set, which
+    ``~(x >> 1) & x`` marks at b0. The padding reads 00. A wire-backed matrix
+    stays wire-backed."""
+    wire = encode(mat)
+    x = int.from_bytes(wire, "big")
+    return bool(~(x >> 1) & x & int.from_bytes(b"\x55" * len(wire), "big"))
 
 
 @dataclass(frozen=True)
@@ -412,6 +389,7 @@ def perceive(
     OBJECT when some object or vehicle center lies in the block, NO_OBJECT
     otherwise. The vehicle's own block follows the same rules, so it reads
     OBJECT unless its center is out of range or hidden by another disc.
+    The cells are packed once, and the matrix is backed by those bytes.
     """
     if locate_zone(self_pos, cfg) != zone:
         raise OutOfZoneError(f"vehicle {self_id} at {self_pos!r} is outside zone {tuple(zone)}")
@@ -430,7 +408,7 @@ def perceive(
         cols = np.flatnonzero(dist <= sensing_range)
         cells[_hidden(self_id, viewer, cols, view, sensing_range)] = BlockState.UNCERTAIN
     cells[dist > sensing_range] = BlockState.OUT_OF_SENSING
-    return SensingMatrix._of(zone, cells.reshape(n, n))
+    return SensingMatrix._wired(zone, (n, n), _pack(cells))
 
 
 def format_matrix(mat: SensingMatrix) -> str:

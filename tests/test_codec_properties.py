@@ -23,10 +23,10 @@ from zonecast import (
     encode,
     sensing,
 )
-from zonecast.sensing import PayloadSizeError
+from zonecast.sensing import PayloadSizeError, has_uncertain
 
 Z = ZoneIndex(0, 0)
-TABLES = (sensing._UNPACK, sensing._MERGE, sensing._QUAD_WEIGHTS)
+TABLES = (sensing._UNPACK, sensing._QUAD_WEIGHTS)
 
 
 def reference_encode(mat: SensingMatrix) -> bytes:
@@ -204,6 +204,9 @@ def test_public_constructor_still_validates():
         SensingMatrix(Z, [[4]])
     with pytest.raises(ValueError):
         SensingMatrix(Z, [1, 2])
+    for bad in (np.array([[259]]), [[2.7]], np.array([[3.5]]), [[-1]], [[256]]):
+        with pytest.raises(ValueError):
+            SensingMatrix(Z, bad)
 
 
 def test_copy_is_fresh_and_equal():
@@ -278,3 +281,16 @@ def test_comparing_a_wire_backed_and_a_cells_backed_matrix_converts_neither():
     for mat in (cells_backed, other_cells):
         assert mat._wire is None and mat._cells is not None
     assert wire_backed._cells is None and wire_backed._wire == encode(cells_backed)
+
+
+@given(st.one_of(matrices(), payloads()))
+@example((1, 1, b"\x95"))  # one 10 cell; the padding bits read 01 01 01
+def test_has_uncertain_reads_the_bytes_and_keeps_them(case):
+    if isinstance(case, SensingMatrix):
+        mat = ref = case
+    else:
+        m, n, payload = case
+        mat, ref = decode(payload, Z, m, n), reference_decode(payload, Z, m, n)
+    wired = mat._wire is not None
+    assert has_uncertain(mat) is bool((ref.cells == BlockState.UNCERTAIN).any())
+    assert (mat._cells is None) is wired

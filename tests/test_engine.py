@@ -23,6 +23,7 @@ from zonecast import (
     grid,
     load_scenario,
     run,
+    sensing,
     sweep,
     sweep_csv,
 )
@@ -216,6 +217,37 @@ def test_final_matrix_is_a_copy_of_no_state(monkeypatch):
     before = digest(m)
     m.final_matrix.cells[...] = 0
     assert digest(run(cfg)) == before
+
+
+FIG9 = PRESETS["paper-fig9"].base
+WHOLE_RUNS = {
+    "fig9-l3-40": replace(FIG9, placement=replace(FIG9.placement, count=40)),
+    "fig9-csma-40": replace(FIG9, placement=replace(FIG9.placement, count=40), mac_mode="csma"),
+    "fig5_line3": load_scenario(LINE3),
+}
+
+
+class NoUnpack:
+    def take(self, *args, **kwargs):
+        raise AssertionError("a run unpacked a matrix's bytes into cells")
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_RUNS))
+def test_a_run_packs_each_perceived_matrix_once_and_unpacks_nothing(monkeypatch, name):
+    # Perception hands out wire bytes, so neither set-up nor a vehicle's
+    # first merge packs its cells a second time.
+    cfg = WHOLE_RUNS[name]
+    packs, pack = [], sensing._pack
+
+    def counted(cells):
+        packs.append(cells.size)
+        return pack(cells)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sensing, "_pack", counted)
+        patch.setattr(sensing, "_UNPACK", NoUnpack())
+        run(cfg)
+    assert len(packs) == len(build_world(cfg)[1])
 
 
 def test_run_is_deterministic():

@@ -9,10 +9,12 @@ in rank order, sum to at most ``10**(-capture_threshold/10)``.
 
 Stations do not move during a run, so the link geometry is static: a
 LinkTable lists each station's neighbours within comm_range with their
-received powers, built once per run. Powers come from received_power itself,
-one call per in-range pair, so they are bit-identical to the scalar model.
-numpy's log10 and hypot are not: they differ in the last bit on a few percent
-of pairs, which can flip a capture decision that sits on its threshold.
+received powers. They are measured on first read, so a run in which no slot
+has both a sender and a listener, as in the default scenario, measures none.
+Powers come from received_power itself, one call per in-range pair, so they
+are bit-identical to the scalar model. numpy's log10 and hypot are not: they
+differ in the last bit on a few percent of pairs, which can flip a capture
+decision that sits on its threshold.
 
 A slot is decided one of two ways, with the same outcomes. A small slot runs
 the scalar rule per listener: rank its audible groups, then fold their
@@ -106,17 +108,27 @@ class LinkTable:
     ``index`` maps a station id to its position k in the station list, and
     ``links[k]`` maps the position j of every other station within comm_range
     of station k to received_power between them; no other pair has an entry.
-    What resolve_slot derives from them is built on the first slot that needs
-    it and kept, and freed, with the table.
+    The links, and what resolve_slot derives from them, are built on the
+    first read that needs them and kept, and freed, with the table.
     """
 
     index: dict[int, int]
-    links: list[dict[int, float]]
+    stations: tuple[tuple[int, Position], ...]
+    cfg: ChannelConfig
+
+    @cached_property
+    def links(self) -> list[dict[int, float]]:
+        # math.dist is symmetric: each pair is measured once and linked both ways.
+        links: list[dict[int, float]] = [{} for _ in self.stations]
+        for (i, p), (j, q) in itertools.combinations(enumerate(pos for _, pos in self.stations), 2):
+            if math.dist(q, p) <= self.cfg.comm_range:
+                links[i][j] = links[j][i] = received_power(q, p, self.cfg)
+        return links
 
     @cached_property
     def _ids(self) -> list[int]:
         """Station ids by position k."""
-        ids = [0] * len(self.links)
+        ids = [0] * len(self.index)
         for sid, k in self.index.items():
             ids[k] = sid
         return ids
@@ -144,21 +156,17 @@ class LinkTable:
 
 
 def link_table(stations: list[tuple[int, Position]], cfg: ChannelConfig) -> LinkTable:
-    """Link every pair of stations within comm_range with the scalar model.
-
-    math.dist is symmetric, so each unordered pair is measured once and
-    linked both ways; received_power is called only for in-range pairs.
-    Raises InvalidSlotError for a station id listed twice and
-    DegenerateGeometryError for two stations at one position.
+    """The link table of (id, position) ``stations``. Raises InvalidSlotError
+    for a station id listed twice and DegenerateGeometryError for two
+    stations at one finite position, where received_power is undefined.
     """
     index = {sid: k for k, (sid, _) in enumerate(stations)}
     if len(index) != len(stations):
         raise InvalidSlotError("duplicate station id in link table")
-    links: list[dict[int, float]] = [{} for _ in stations]
-    for (i, rpos), (j, spos) in itertools.combinations(enumerate(p for _, p in stations), 2):
-        if math.dist(spos, rpos) <= cfg.comm_range:
-            links[i][j] = links[j][i] = received_power(spos, rpos, cfg)
-    return LinkTable(index, links)
+    finite = [tuple(pos) for _, pos in stations if all(map(math.isfinite, pos))]
+    if len(set(finite)) != len(finite):
+        raise DegenerateGeometryError("two stations share a position")
+    return LinkTable(index, tuple(stations), cfg)
 
 
 _SILENT = Outcome(SILENCE)

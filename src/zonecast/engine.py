@@ -47,6 +47,15 @@ from .sensing import GroundTruth, SensingMatrix
 MAX_SLOTS_CAP = 10_000
 
 
+def _int(cfg: object, name: str) -> int:
+    """The field ``name`` of ``cfg``, which must be an integer: as in scenario
+    files, a bool is not one, and numpy integers are."""
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Placement:
     """Random vehicle placement: uniform in ``area`` (defaults to the zone at
@@ -66,9 +75,9 @@ class CsmaConfig:
     micro_slot_us: float = 13.0
 
     def __post_init__(self) -> None:
-        if self.cw_min < 1:
+        if _int(self, "cw_min") < 1:
             raise ConfigError("cw_min must be >= 1")
-        if not self.cw_min <= self.cw_max <= 2**63:  # backoffs are drawn as int64
+        if not self.cw_min <= _int(self, "cw_max") <= 2**63:  # backoffs are drawn as int64
             raise ConfigError(f"cw_max must be in [cw_min, 2**63], got {self.cw_max}")
         if not self.micro_slot_us >= 0:
             raise ConfigError("micro_slot_us must be non-negative")
@@ -109,11 +118,11 @@ class ScenarioConfig:
             raise ConfigError("sensing_range must be positive")
         if not self.vehicle_radius >= 0:
             raise ConfigError("vehicle_radius must be non-negative")
-        if self.max_slots is not None and not self.max_slots > 0:
+        if self.max_slots is not None and not _int(self, "max_slots") > 0:
             raise ConfigError("max_slots must be positive")
         if self.mac_mode not in ("l3", "csma"):
             raise ConfigError(f"mac_mode must be 'l3' or 'csma', got {self.mac_mode!r}")
-        if self.seed < 0:
+        if _int(self, "seed") < 0:
             raise ConfigError("seed must be non-negative")
         if any(not radius > 0 for _, radius in self.objects):
             raise ConfigError("object radii must be positive")
@@ -147,7 +156,7 @@ _SPREAD = (
 def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
     p = cfg.placement
     assert p is not None
-    if p.count < 1:
+    if _int(p, "count") < 1:
         raise ConfigError("placement.count must be >= 1")
     if math.isnan(p.min_separation):
         raise ConfigError("placement.min_separation must be a number, got nan")

@@ -20,11 +20,13 @@ run has already merged (see ``protocol``).
 Perception is synthetic: ``perceive`` reads a ``GroundTruth`` of disc objects
 and vehicles. What does not depend on the viewer is built once per world,
 kept on the world and shared by every vehicle (``_world_view``): the zone's
-block centres, occupied blocks and occluder discs. A world with no disc of
-radius > 0 skips the occlusion test altogether; otherwise ``_hidden`` tests
-every disc within reach of the viewer at once against the block centres in
-sensing range, reproducing the float results of the rule applied to one
-disc at a time (see its docstring).
+block centres, occupied blocks and occluder discs. The first call for a
+world, zone, grid and range perceives all the world's vehicles in one pass
+and keeps their wire bytes on the world; any other viewer is a pass of one
+(``_perceive_rows``). A world with no disc of radius > 0 skips the occlusion
+test altogether; otherwise ``_hidden`` tests every disc within reach of a
+viewer at once against the block centres in sensing range, reproducing the
+float results of the rule applied to one disc at a time (see its docstring).
 """
 
 from __future__ import annotations
@@ -261,8 +263,9 @@ class GroundTruth:
             raise ValueError("object radii must be positive")
         if any(not r >= 0 for _, _, r in self.vehicles):
             raise ValueError("vehicle radii must be non-negative")
-        # (zone, grid) -> _WorldView, filled by perceive; not a field.
+        # Not fields: perceive's _WorldView per (zone, grid) and bytes per (zone, grid, range).
         object.__setattr__(self, "_views", {})
+        object.__setattr__(self, "_payloads", {})
 
 
 class _WorldView(NamedTuple):
@@ -301,15 +304,10 @@ def _world_view(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> _WorldV
     return view
 
 
-@np.errstate(over="ignore")  # an overflowed square compares as inf, as intended
-def _hidden(
-    self_id: int,
-    viewer: np.ndarray,
-    cols: np.ndarray,
-    view: _WorldView,
-    sensing_range: float,
-) -> np.ndarray:
-    """The entries of ``cols`` whose block center is hidden behind a disc.
+def _hidden(viewer: np.ndarray, cols: np.ndarray, seg: np.ndarray, discs: np.ndarray,
+            w: np.ndarray, view: _WorldView) -> np.ndarray:
+    """The entries of ``cols`` (no center at the viewer v) hidden behind ``discs``:
+    ``seg`` holds c - v per center as x, y and squared length, ``w`` q - v per disc.
 
     A disc blocks the view of a center c when the viewer-to-c segment passes
     within the disc radius strictly between its endpoints: both the viewer
@@ -352,26 +350,54 @@ def _hidden(
     elementwise ufuncs on split x/y arrays: they never fuse a multiply-add,
     so the bits do not depend on the platform's BLAS.
     """
-    keep = view.owner != self_id
-    wx, wy = (view.q[keep] - viewer).T
-    ww = wx * wx + wy * wy
-    reach = (sensing_range + view.r[keep]) * (1 + 2**-40) + 2**-500
-    # A disc holding the viewer casts no shadow; one out of reach casts none
-    # on a center in range.
-    near = (ww > view.r2[keep]) & (ww <= reach * reach)
-    keep[keep] = near
-    qx, qy, r2 = view.q[keep, :1], view.q[keep, 1:], view.r2[keep, None]
+    qx, qy, r2 = view.q[discs, :1], view.q[discs, 1:], view.r2[discs, None]
     cx, cy = view.centers[cols].T
-    sx, sy = cx - viewer[0], cy - viewer[1]
-    seg_len2 = sx * sx + sy * sy
-    safe_len2 = np.where(seg_len2 == 0, 1.0, seg_len2)
-    t = (sx * wx[near, None] + sy * wy[near, None]) / safe_len2
+    (sx, sy, seg_len2), (wx, wy) = seg[:, cols], w[:, discs, None]
+    t = (sx * wx + sy * wy) / seg_len2
     t = np.minimum(np.maximum(t, 0.0), 1.0)
     dx = qx - (viewer[0] + t * sx)
     dy = qy - (viewer[1] + t * sy)
     ox, oy = cx - qx, cy - qy  # a center on or in the disc is not hidden by it
     hit = (dx * dx + dy * dy <= r2) & (ox * ox + oy * oy > r2)
-    return cols[hit.any(axis=0) & (seg_len2 > 0)]
+    return cols[hit.any(axis=0)]
+
+
+# Entries per (viewers, C) or (viewers, M) array of a block of one viewer or more.
+_ROW_CELLS = 2**12
+
+
+@np.errstate(over="ignore")  # an overflowed square compares as inf, as intended
+def _perceive_rows(viewers: list, view: _WorldView, sensing_range: float) -> list[bytes]:
+    """The wire bytes each (id, position) of ``viewers`` perceives. A block of
+    viewers takes the center offsets, their ``hypot``, the range masks and the
+    disc cut as (viewers, C) and (viewers, M) arrays, with one viewer's ufuncs
+    on the same elements; only ``_hidden``'s hit test runs per viewer."""
+    step = max(1, _ROW_CELLS // max(len(view.centers), len(view.r2)))
+    reach = (sensing_range + view.r) * (1 + 2**-40) + 2**-500
+    base = np.where(view.occupied, np.uint8(BlockState.OBJECT), np.uint8(BlockState.NO_OBJECT))
+    out = []
+    for i in range(0, len(viewers), step):
+        block = viewers[i : i + step]
+        v = np.array([pos for _, pos in block], dtype=float)
+        sx, sy = view.centers[:, 0] - v[:, :1], view.centers[:, 1] - v[:, 1:]
+        dist = np.hypot(sx, sy)
+        cells = np.tile(base, (len(block), 1))
+        if len(view.r2):
+            wx, wy = view.q[:, 0] - v[:, :1], view.q[:, 1] - v[:, 1:]
+            ww = wx * wx + wy * wy
+            ids = np.array([vid for vid, _ in block], dtype=object)[:, None]
+            # No shadow from a disc holding the viewer, out of reach, or its own.
+            near = (ww > view.r2) & (ww <= reach * reach) & (view.owner != ids)
+            # Only centers in range can read UNCERTAIN; the rest read 00 anyway.
+            seg_len2 = sx * sx + sy * sy
+            live = (dist <= sensing_range) & (seg_len2 > 0)
+            seg, w = np.stack([sx, sy, seg_len2], axis=1), np.stack([wx, wy], axis=1)
+            for b in range(len(block)):
+                cols, discs = np.flatnonzero(live[b]), np.flatnonzero(near[b])
+                cells[b, _hidden(v[b], cols, seg[b], discs, w[b], view)] = BlockState.UNCERTAIN
+        cells[dist > sensing_range] = BlockState.OUT_OF_SENSING
+        out += [_pack(row) for row in cells]
+    return out
 
 
 def perceive(
@@ -389,26 +415,22 @@ def perceive(
     OBJECT when some object or vehicle center lies in the block, NO_OBJECT
     otherwise. The vehicle's own block follows the same rules, so it reads
     OBJECT unless its center is out of range or hidden by another disc.
-    The cells are packed once, and the matrix is backed by those bytes.
+    The matrix is backed by wire bytes, kept on the world for its vehicles.
     """
     if locate_zone(self_pos, cfg) != zone:
         raise OutOfZoneError(f"vehicle {self_id} at {self_pos!r} is outside zone {tuple(zone)}")
-    n = cfg.blocks_per_side
     view = world._views.get((zone, cfg))
     if view is None:
         view = world._views[(zone, cfg)] = _world_view(world, zone, cfg)
-    centers = view.centers
-    viewer = np.asarray(self_pos, dtype=float)
-    dist = np.hypot(centers[:, 0] - viewer[0], centers[:, 1] - viewer[1])
-
-    cells = np.full(n * n, int(BlockState.NO_OBJECT), dtype=np.uint8)
-    cells[view.occupied] = BlockState.OBJECT
-    if len(view.r2):
-        # Only centers in range can read UNCERTAIN; the rest read 00 anyway.
-        cols = np.flatnonzero(dist <= sensing_range)
-        cells[_hidden(self_id, viewer, cols, view, sensing_range)] = BlockState.UNCERTAIN
-    cells[dist > sensing_range] = BlockState.OUT_OF_SENSING
-    return SensingMatrix._wired(zone, (n, n), _pack(cells))
+    key = (zone, cfg, sensing_range)
+    if key not in world._payloads:
+        viewers = [(vid, tuple(pos)) for vid, pos, _ in world.vehicles]
+        world._payloads[key] = dict(zip(viewers, _perceive_rows(viewers, view, sensing_range)))
+    wire = world._payloads[key].get((self_id, tuple(self_pos)))
+    if wire is None:
+        (wire,) = _perceive_rows([(self_id, self_pos)], view, sensing_range)
+    n = cfg.blocks_per_side
+    return SensingMatrix._wired(zone, (n, n), wire)
 
 
 def format_matrix(mat: SensingMatrix) -> str:

@@ -255,6 +255,19 @@ def test_colocated_listeners_are_degenerate():
         resolve({2: (10, 0), 1: (0, 0), 3: (0, 0)}, [pkt(2)])
 
 
+def test_link_table_checks_its_stations_before_any_slot(monkeypatch):
+    # The links are measured on first read, yet a bad station list fails at
+    # construction, with no slot resolved and no power computed.
+    monkeypatch.setattr(channel, "received_power", None)
+    with pytest.raises(InvalidSlotError, match="duplicate station id"):
+        link_table([(1, (0.0, 0.0)), (2, (5.0, 0.0)), (1, (500.0, 0.0))], CFG)
+    with pytest.raises(DegenerateGeometryError):
+        link_table([(2, (10, 0)), (1, (900.0, 0.0)), (3, (10.0, 0.0))], CFG)
+    # Non-finite positions are never linked, so they are never degenerate.
+    table = link_table([(1, (math.inf, 0.0)), (2, (math.inf, 0.0)), (3, (math.nan, 0.0))], CFG)
+    assert table.links == [{}, {}, {}]
+
+
 def test_determinism_same_slot_same_outcome():
     stations = {1: (0, 0), 2: (10, 1), 3: (-9, 3), 4: (30, 30)}
     packets = [pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100)]

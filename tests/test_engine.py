@@ -1,6 +1,7 @@
 """Tests for the slotted simulation engine: traces, metrics, placement,
 and seeded sweeps."""
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -250,6 +251,39 @@ def test_a_run_packs_each_perceived_matrix_once_and_unpacks_nothing(monkeypatch,
     assert len(packs) == len(build_world(cfg)[1])
 
 
+def count_received_power(monkeypatch):
+    calls, power = [], channel.received_power
+
+    def counted(*args):
+        calls.append(args)
+        return power(*args)
+
+    monkeypatch.setattr(channel, "received_power", counted)
+    return calls
+
+
+def test_the_default_scenario_builds_no_link_table(monkeypatch):
+    # Every vehicle sends in slot 1 and nobody listens, so no slot reads the
+    # table's links.
+    calls = count_received_power(monkeypatch)
+    m = run(ScenarioConfig(placement=Placement(100), seed=42000))
+    assert m.quiescent_slot == 2 and set(m.tx_slots.values()) == {1}
+    assert calls == []
+
+
+def test_a_run_with_listeners_builds_its_link_table_once(monkeypatch):
+    calls = count_received_power(monkeypatch)
+    cfg = WHOLE_RUNS["fig9-l3-40"]
+    m = run(cfg)
+    assert m.last_tx_slot > 1
+    _, vehicles, _ = build_world(cfg)
+    pairs = sum(
+        math.dist(p, q) <= cfg.channel.comm_range
+        for (_, p), (_, q) in itertools.combinations(vehicles, 2)
+    )
+    assert len(calls) == pairs > 0
+
+
 def test_run_is_deterministic():
     cfg = ScenarioConfig(
         channel=ChannelConfig(comm_range=30.0),
@@ -381,6 +415,35 @@ def test_non_finite_bounds_are_config_errors(make, match):
     # OverflowError on a non-finite area; both must be ConfigErrors.
     with pytest.raises(ConfigError, match=match):
         make()
+
+
+INT_FIELDS = {
+    "seed": lambda x: ScenarioConfig(seed=x),
+    "max_slots": lambda x: ScenarioConfig(max_slots=x),
+    "count": lambda x: build_world(ScenarioConfig(placement=Placement(count=x))),
+    "cw_min": lambda x: CsmaConfig(cw_min=x),
+    "cw_max": lambda x: CsmaConfig(cw_max=x),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INT_FIELDS))
+def test_integer_fields_take_only_integers(field):
+    # As in scenario files: a float or a bool is a ConfigError, not a
+    # TypeError later or a run on a truncated value; numpy integers pass.
+    make = INT_FIELDS[field]
+    unset = () if field == "max_slots" else (None,)  # max_slots is optional
+    for bad in (True, "20", *unset, 20.0, np.float64(20.0), 20.5):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            make(bad)
+    make(np.int64(20))
+    make(np.uint16(20))
+
+
+def test_integer_fields_run_as_integers():
+    cfg = replace(load_scenario(LINE3), seed=np.int64(3), max_slots=np.int32(2))
+    assert run(cfg).trace == run(replace(cfg, seed=3, max_slots=2)).trace
+    placed = ScenarioConfig(placement=Placement(np.int16(3)), seed=1)
+    assert run(placed).trace == run(ScenarioConfig(placement=Placement(3), seed=1)).trace
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from zonecast import (
     locate_block,
     locate_zone,
     perceive,
+    sensing,
 )
 from zonecast.grid import block_centers
 
@@ -334,3 +335,30 @@ def test_rounded_past_c_examples_sit_beyond_the_exact_reach(case):
     assert w @ w > (sensing_range + r) ** 2
     want = reference_perceive(vid, pos, world, ZoneIndex(0, 0), grid, sensing_range)
     assert (want == BlockState.UNCERTAIN).any()
+
+
+def test_a_world_perceived_in_blocks_matches_the_reference(monkeypatch):
+    # 70 vehicles of radius 1 m and six 2 m objects on the default 20 x 20
+    # grid. Perception takes 10 viewers a block here, so the first pass
+    # crosses block boundaries; smaller budgets give blocks of three, the
+    # last holding one viewer, and blocks of one viewer, as on a 64 x 64
+    # grid or larger, where the reference would take 20 ms or more a viewer.
+    grid = GridConfig()
+    rng = np.random.default_rng(70)
+    spots = rng.uniform(0.0, 100.0, (70, 2)).round(1).tolist()
+    vehicles = tuple((vid, tuple(pos), 1.0) for vid, pos in enumerate(spots, start=1))
+    objects = tuple((tuple(pos), 2.0) for pos in rng.uniform(0.0, 100.0, (6, 2)).tolist())
+    world = GroundTruth(objects=objects, vehicles=vehicles)
+    want = {vid: reference_perceive(vid, pos, world, Z, grid, 25.0) for vid, pos, _ in vehicles}
+    # Vehicle 1 away from its recorded position: a viewer the world does not hold.
+    away = (spots[0][0] + 0.5, spots[0][1] + 0.5)
+    want_away = reference_perceive(1, away, world, Z, grid, 25.0)
+    for budget in (sensing._ROW_CELLS, 3 * 400, 1):
+        monkeypatch.setattr(sensing, "_ROW_CELLS", budget)
+        for order in (vehicles, vehicles[::-1]):
+            world = GroundTruth(objects=objects, vehicles=vehicles)
+            for vid, pos, _ in order:
+                got = perceive(vid, pos, world, Z, grid, 25.0).cells
+                assert got.tolist() == want[vid].tolist(), f"viewer {vid}, budget {budget}"
+            got = perceive(1, away, world, Z, grid, 25.0).cells
+            assert got.tolist() == want_away.tolist(), f"budget {budget}"

@@ -29,7 +29,7 @@ def show(title, senders, receiver=(0.0, 0.0)):
     transmits and vehicle 99 at ``receiver`` listens."""
     table = link_table([(99, receiver)] + [(vid, pos) for vid, pos, _ in senders], cfg)
     packets = [Packet(vid, Z, payload) for vid, _, payload in senders]
-    out = resolve_slot(packets, table, cfg)[99]
+    out = resolve_slot(packets, table)[99]
     if out.packet is not None:
         print(f"{title}: {out.kind} (frame from vehicle {out.packet.sender})")
     else:
@@ -66,5 +66,5 @@ show(
 
 # A sender never hears its own slot: half-duplex radios report silence.
 table = link_table([(1, (10.0, 0.0))], cfg)
-out = resolve_slot([Packet(1, Z, b"\xaa")], table, cfg)[1]
+out = resolve_slot([Packet(1, Z, b"\xaa")], table)[1]
 print(f"the sender's own slot   : {out.kind}")

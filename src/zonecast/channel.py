@@ -180,7 +180,7 @@ _COLLIDED = Outcome(COLLISION)
 _DENSE_SLOT_LINKS = 256
 
 
-def resolve_slot(packets: list[Packet], table: LinkTable, cfg: ChannelConfig) -> dict[int, Outcome]:
+def resolve_slot(packets: list[Packet], table: LinkTable) -> dict[int, Outcome]:
     """Decide what every station of ``table`` hears in one slot, keyed by id
     in ascending order.
 
@@ -191,8 +191,9 @@ def resolve_slot(packets: list[Packet], table: LinkTable, cfg: ChannelConfig) ->
     even when a float tie across the range edge gives it the same power. The
     strongest audible group is delivered when the others' linear ratios to
     it, ``10**((p - strongest)/10)`` added left to right in rank order, come
-    to at most ``10**(-capture_threshold/10)`` (see _captures); else the slot
-    is a collision. No ratio exceeds 1 and an exact tie is 1.0 on any libm.
+    to at most ``10**(-capture_threshold/10)`` for the table's ``cfg`` (see
+    _captures); else the slot is a collision. No ratio exceeds 1 and an
+    exact tie is 1.0 on any libm.
     Senders are half-duplex and always hear silence. Raises InvalidSlotError
     for a sender named twice or not a station of the table.
     """
@@ -213,7 +214,7 @@ def resolve_slot(packets: list[Packet], table: LinkTable, cfg: ChannelConfig) ->
     for pkt in sorted(packets, key=lambda pkt: pkt.sender):
         g = groups.setdefault((pkt.zone, pkt.payload), len(groups))
         sending[table.index[pkt.sender]] = (g, Outcome(DELIVERED, pkt))
-    bound = 10.0 ** (-cfg.capture_threshold / 10.0)
+    bound = 10.0 ** (-table.cfg.capture_threshold / 10.0)
     if sum(len(table.links[j]) for j in sending) >= _DENSE_SLOT_LINKS:
         _dense(sending, len(groups), table, bound, outcomes)
         return outcomes

@@ -47,13 +47,13 @@ from .sensing import GroundTruth, SensingMatrix
 MAX_SLOTS_CAP = 10_000
 
 
-def _int(cfg: object, name: str) -> int:
-    """The field ``name`` of ``cfg``, which must be an integer: as in scenario
-    files, a bool is not one, and numpy integers are."""
-    value = getattr(cfg, name)
+def _int(value: object, name: str) -> int:
+    """``value`` as a Python int, or a ConfigError naming ``name`` if it is
+    not an integer: as in scenario files, a bool is not one, and numpy
+    integers are."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ class CsmaConfig:
     micro_slot_us: float = 13.0
 
     def __post_init__(self) -> None:
-        if _int(self, "cw_min") < 1:
+        if _int(self.cw_min, "cw_min") < 1:
             raise ConfigError("cw_min must be >= 1")
-        if not self.cw_min <= _int(self, "cw_max") <= 2**63:  # backoffs are drawn as int64
+        if not self.cw_min <= _int(self.cw_max, "cw_max") <= 2**63:  # backoffs are drawn as int64
             raise ConfigError(f"cw_max must be in [cw_min, 2**63], got {self.cw_max}")
         if not self.micro_slot_us >= 0:
             raise ConfigError("micro_slot_us must be non-negative")
@@ -118,11 +118,11 @@ class ScenarioConfig:
             raise ConfigError("sensing_range must be positive")
         if not self.vehicle_radius >= 0:
             raise ConfigError("vehicle_radius must be non-negative")
-        if self.max_slots is not None and not _int(self, "max_slots") > 0:
+        if self.max_slots is not None and not _int(self.max_slots, "max_slots") > 0:
             raise ConfigError("max_slots must be positive")
         if self.mac_mode not in ("l3", "csma"):
             raise ConfigError(f"mac_mode must be 'l3' or 'csma', got {self.mac_mode!r}")
-        if _int(self, "seed") < 0:
+        if _int(self.seed, "seed") < 0:
             raise ConfigError("seed must be non-negative")
         if any(not radius > 0 for _, radius in self.objects):
             raise ConfigError("object radii must be positive")
@@ -156,7 +156,7 @@ _SPREAD = (
 def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
     p = cfg.placement
     assert p is not None
-    if _int(p, "count") < 1:
+    if _int(p.count, "count") < 1:
         raise ConfigError("placement.count must be >= 1")
     if math.isnan(p.min_separation):
         raise ConfigError("placement.min_separation must be a number, got nan")
@@ -332,7 +332,7 @@ def _slotted(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) 
     what each station of the table hears. Latency is slot * slot_duration_ms."""
     for slot in itertools.count(1):
         txs = [on_slot_begin(s) for s in states if s.pending_tx]
-        yield txs, resolve_slot(txs, table, cfg.channel), slot * cfg.slot_duration_ms
+        yield txs, resolve_slot(txs, table), slot * cfg.slot_duration_ms
 
 
 def _backoffs(rng: np.random.Generator, cws: list[int]) -> list[int]:
@@ -427,6 +427,8 @@ def sweep(
     Each trial derives its own sub-seed from the master seed, so the whole
     table is reproducible. Returns one row per run with the sweep.csv columns.
     """
+    counts = [_int(c, "counts") for c in counts]
+    trials, seed = _int(trials, "trials"), _int(seed, "seed")
     if not counts or any(c < 1 for c in counts):
         raise ConfigError("counts must be non-empty positive integers")
     if trials < 1:

@@ -42,7 +42,7 @@ def pkt(sender, payload=b"\x01" * 100):
 
 def resolve(stations, packets, cfg=CFG):
     """Resolve one slot over a link table of ``stations``, {id: position}."""
-    return resolve_slot(packets, link_table(list(stations.items()), cfg), cfg)
+    return resolve_slot(packets, link_table(list(stations.items()), cfg))
 
 
 def test_received_power_log_distance_values():
@@ -198,6 +198,17 @@ def test_a_ratio_exactly_on_the_bound_captures(path):
     with path():
         out = resolve(stations, [pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100)], cfg)
     assert out[1].kind == DELIVERED and out[1].packet.sender == 2
+
+
+@BOTH_PATHS
+def test_the_link_tables_threshold_decides_the_slot(path):
+    # 15 m against 45 m is a 9.54 dB margin: over a 3 dB threshold, under 10 dB.
+    stations = [(1, (0.0, 0.0)), (2, (15.0, 0.0)), (3, (45.0, 0.0))]
+    packets = [pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100)]
+    for threshold, kind in ((3.0, DELIVERED), (10.0, COLLISION)):
+        table = link_table(stations, ChannelConfig(capture_threshold=threshold))
+        with path():
+            assert resolve_slot(packets, table)[1].kind == kind
 
 
 @pytest.mark.parametrize("direction", [math.inf, -math.inf])

@@ -118,7 +118,7 @@ def as_pairs(outcomes):
 @example(SQRT104_TIE)
 def test_resolve_slot_matches_pairwise_reference(slot):
     stations, packets, table_order, cfg = slot
-    got = resolve_slot(packets, link_table(table_order, cfg), cfg)
+    got = resolve_slot(packets, link_table(table_order, cfg))
     assert as_pairs(got) == reference(packets, stations, cfg)
     assert list(got) == sorted(vid for vid, _ in stations)
 
@@ -134,7 +134,7 @@ def array_path():
 def test_array_path_matches_pairwise_reference(slot):
     stations, packets, table_order, cfg = slot
     with array_path():
-        got = resolve_slot(packets, link_table(table_order, cfg), cfg)
+        got = resolve_slot(packets, link_table(table_order, cfg))
     assert as_pairs(got) == reference(packets, stations, cfg)
     assert list(got) == sorted(vid for vid, _ in stations)
 
@@ -187,7 +187,7 @@ def test_array_filter_falls_back_on_lattice_ties_and_agrees():
         with array_path(), mock.patch.object(
             channel, "_captures", wraps=channel._captures
         ) as fold:
-            got = resolve_slot(packets, link_table(table_order, cfg), cfg)
+            got = resolve_slot(packets, link_table(table_order, cfg))
         folds.append(fold.call_count)  # on the array path, only close calls fold
         assert as_pairs(got) == reference(packets, stations, cfg)
 

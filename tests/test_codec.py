@@ -76,6 +76,15 @@ def test_decode_checks_payload_length():
         decode(b"\x00" * 101, Z, 20, 20)
 
 
+def test_decode_checks_dimensions_before_the_length():
+    for m, n in ((-2, -2), (2, -1), (2.0, 2.0), (True, 1), ("2", 2), (None, 2)):
+        with pytest.raises(ValueError, match="m and n must be non-negative integers"):
+            decode(b"\x00", Z, m, n)
+    wide = decode(b"\x00" * 10_000, Z, np.uint8(200), np.int64(200))
+    assert wide.shape == (200, 200) and wide == SensingMatrix(Z, np.zeros((200, 200), np.uint8))
+    assert decode(b"", Z, 0, 5).shape == (0, 5)
+
+
 def test_unaligned_cell_count_pads_final_byte_with_zero_bits():
     # 3 cells -> one byte, last bit pair zero-filled.
     mat = SensingMatrix(Z, np.array([[3, 2, 1]], dtype=np.uint8))

@@ -16,11 +16,15 @@ from hypothesis.extra.numpy import arrays
 
 from zonecast import (
     BlockState,
+    GridConfig,
+    GroundTruth,
     SensingMatrix,
     ZoneIndex,
     aggregate,
     decode,
     encode,
+    locate_zone,
+    perceive,
     sensing,
 )
 from zonecast.sensing import PayloadSizeError, has_uncertain
@@ -149,7 +153,8 @@ def test_wrong_lengths_raise_payload_size_error(m, n, delta, kind):
 def test_mutating_a_decoded_matrix_leaves_the_next_decode_unchanged(case):
     m, n, payload = case
     first = decode(payload, Z, m, n)
-    first.cells ^= 3
+    cells = first.cells
+    cells ^= 3
     assert decode(payload, Z, m, n) == reference_decode(payload, Z, m, n)
 
 
@@ -256,20 +261,28 @@ def test_merging_decoded_payloads_matches_the_reference_merge_of_their_cells(cas
     assert merged.shape == (m, n) and np.array_equal(merged.cells, want.cells)
 
 
-def test_a_write_into_cells_is_seen_by_the_next_encode():
+def test_a_matrix_keeps_its_bytes_whatever_is_written_into_cells():
     rows = [[3, 2, 0], [1, 2, 2], [0, 0, 3]]  # nine cells: the last byte pads
-    fresh = SensingMatrix(Z, rows)
-    encode(fresh)
-    decoded = decode(encode(fresh), Z, 3, 3)
-    free = decode(encode(SensingMatrix(Z, np.full((3, 3), 2))), Z, 3, 3)
-    merged, _ = aggregate(decoded, free)
-    reencoded = decode(encode(fresh), Z, 3, 3)
-    encode(reencoded)
-    for mat in (fresh, decoded, merged, reencoded):
-        before = encode(mat)
-        mat.cells[2, 2] ^= 1
-        assert encode(mat) != before
-        assert encode(mat) == reference_encode(SensingMatrix(Z, mat.cells.copy()))
+    built = SensingMatrix(Z, rows)
+    decoded = decode(encode(built), Z, 3, 3)
+    merged, _ = aggregate(decoded, SensingMatrix(Z, np.full((3, 3), 2)))
+    grid = GridConfig(zone_side=15.0, block_side=5.0)  # 3 x 3 blocks
+    world = GroundTruth(objects=(((12.0, 7.0), 1.0),), vehicles=((1, (2.0, 2.0), 0.0),))
+    perceived = perceive(1, (2.0, 2.0), world, locate_zone((2.0, 2.0), grid), grid, 8.0)
+    for mat in (built, decoded, merged, perceived):
+        wire, before = encode(mat), mat.cells.copy()
+        twin = decode(wire, mat.zone, mat.m, mat.n)
+        cells = mat.cells
+        cells ^= 1
+        assert encode(mat) == wire and mat == twin
+        assert np.array_equal(mat.cells, before)
+        with pytest.raises(AttributeError):
+            mat.cells = cells
+        assert encode(mat) == wire
+        given = mat.cells
+        rebuilt = SensingMatrix(mat.zone, given)
+        given ^= 1
+        assert rebuilt == mat and encode(rebuilt) == wire
 
 
 def test_comparing_a_wire_backed_and_a_cells_backed_matrix_converts_neither():
@@ -278,9 +291,6 @@ def test_comparing_a_wire_backed_and_a_cells_backed_matrix_converts_neither():
     wire_backed = decode(encode(cells_backed), Z, 2, 3)
     assert wire_backed == cells_backed and cells_backed == wire_backed
     assert wire_backed != other_cells and other_cells != wire_backed
-    for mat in (cells_backed, other_cells):
-        assert mat._wire is None and mat._cells is not None
-    assert wire_backed._cells is None and wire_backed._wire == encode(cells_backed)
 
 
 @given(st.one_of(matrices(), payloads()))
@@ -291,6 +301,4 @@ def test_has_uncertain_reads_the_bytes_and_keeps_them(case):
     else:
         m, n, payload = case
         mat, ref = decode(payload, Z, m, n), reference_decode(payload, Z, m, n)
-    wired = mat._wire is not None
     assert has_uncertain(mat) is bool((ref.cells == BlockState.UNCERTAIN).any())
-    assert (mat._cells is None) is wired

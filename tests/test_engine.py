@@ -20,6 +20,7 @@ from zonecast import (
     build_world,
     bundled_scenario,
     channel,
+    encode,
     engine,
     grid,
     load_scenario,
@@ -218,6 +219,29 @@ def test_final_matrix_is_a_copy_of_no_state(monkeypatch):
     before = digest(m)
     m.final_matrix.cells[...] = 0
     assert digest(run(cfg)) == before
+
+
+def test_a_write_into_a_shared_matrix_moves_no_vehicle_bytes(monkeypatch):
+    # The memo shares merged matrices between vehicles, and a state's payload
+    # is always encode(matrix): a write into one vehicle's cells array must
+    # change neither.
+    states, init = [], engine.init_vehicle
+
+    def kept(*args):
+        states.append(init(*args))
+        return states[-1]
+
+    fig9 = PRESETS["paper-fig9"].base
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "init_vehicle", kept)
+        run(replace(fig9, placement=replace(fig9.placement, count=40)))
+    shared = max(states, key=lambda s: sum(t.matrix is s.matrix for t in states))
+    assert sum(t.matrix is shared.matrix for t in states) > 1
+    before = [(s.payload, encode(s.matrix)) for s in states]
+    cells = shared.matrix.cells
+    cells ^= 1
+    assert [(s.payload, encode(s.matrix)) for s in states] == before
+    assert all(s.payload == encode(s.matrix) for s in states)
 
 
 FIG9 = PRESETS["paper-fig9"].base
@@ -658,6 +682,32 @@ def test_sweep_validates_arguments():
         sweep(_sweep_base(), counts=[0], trials=1, seed=0)
     with pytest.raises(ConfigError):
         sweep(_sweep_base(), counts=[3], trials=0, seed=0)
+
+
+NOT_INTEGERS = (3.0, 2.5, True, "3", None)
+
+
+def test_sweep_names_counts_that_are_not_integers():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ConfigError, match=re.escape(f"counts must be an integer, got {bad!r}")):
+            sweep(_sweep_base(), counts=[3, bad], trials=1, seed=0)
+
+
+def test_sweep_names_trials_that_are_not_integers():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ConfigError, match=re.escape(f"trials must be an integer, got {bad!r}")):
+            sweep(_sweep_base(), counts=[3], trials=bad, seed=0)
+
+
+def test_sweep_names_seeds_that_are_not_integers():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ConfigError, match=re.escape(f"seed must be an integer, got {bad!r}")):
+            sweep(_sweep_base(), counts=[3], trials=1, seed=bad)
+
+
+def test_sweep_takes_numpy_integers():
+    rows = sweep(_sweep_base(), counts=[np.int64(3)], trials=np.int32(2), seed=np.uint8(4))
+    assert rows == sweep(_sweep_base(), counts=[3], trials=2, seed=4)
 
 
 def test_sweep_rejects_negative_seed():

@@ -42,7 +42,7 @@ from .protocol import (
     on_delivery,
     on_slot_begin,
 )
-from .sensing import GroundTruth, SensingMatrix
+from .sensing import GroundTruth, SensingMatrix, _is_int
 
 MAX_SLOTS_CAP = 10_000
 
@@ -50,8 +50,8 @@ MAX_SLOTS_CAP = 10_000
 def _int(value: object, name: str) -> int:
     """``value`` as a Python int, or a ConfigError naming ``name`` if it is
     not an integer: as in scenario files, a bool is not one, and numpy
-    integers are."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    integers are (see ``sensing._is_int``)."""
+    if not _is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -12,7 +12,7 @@ is kept in a memo that all vehicles of a run share, so each distinct
 (receiver bytes, frame bytes) pair is decoded and merged once per run.
 
 A run stays in bytes from perception on: ``perceive`` packs each vehicle's
-cells once and hands out a matrix of those bytes, ``decode`` wraps the frame's
+cells once and hands out a wire-backed matrix, ``decode`` wraps the frame's
 payload, the merge is a handful of bitwise operations on both payloads read
 as Python ints, and ``encode`` returns the kept bytes, so no cell array is
 built after perception (see ``sensing``).
@@ -50,8 +50,9 @@ class VehicleState:
 
     ``merges`` is the memo ``on_delivery`` reads and fills. Each state gets
     its own empty one; a run gives all its states the same dict, so a merged
-    ``SensingMatrix`` may be shared between vehicles. No write can reach a
-    matrix's bytes, as ``cells`` is a fresh array on every read, and
+    ``SensingMatrix`` may be shared between vehicles. Nothing in a run
+    writes cells in place: a write into a state's ``matrix.cells`` would
+    reach every vehicle that shares the matrix and leave ``payload`` stale.
     ``RunMetrics.final_matrix`` is a copy."""
 
     id: int

@@ -7,13 +7,15 @@ content. The four values are NO_OBJECT (10), OBJECT (11), OUT_OF_SENSING (00)
 and UNCERTAIN (01, view blocked). With the default 20x20 zone the matrix
 serializes to exactly 100 bytes.
 
-A matrix is its wire bytes, and a run stays in bytes: ``perceive`` packs
-its cells once, ``decode`` keeps the payload, ``aggregate`` merges two
-payloads bitwise as Python ints, ``has_uncertain`` tests the bytes, and
-``encode`` returns them. ``cells`` unpacks a fresh array on every read. A
-delivered frame byte-equal to the receiver's kept wire bytes runs neither
-``decode`` nor ``aggregate``, nor does one whose (receiver bytes, frame
-bytes) pair the run has already merged (see ``protocol``).
+A matrix is backed by its wire bytes or by its cell array, never both, and
+a run stays in bytes: the constructor and ``perceive`` pack their cells
+once, ``decode`` keeps the payload, ``aggregate`` merges two payloads
+bitwise as Python ints, ``has_uncertain`` tests the bytes, and ``encode``
+returns the kept bytes. A cells-backed matrix exists only where a caller
+reads ``cells``. A delivered frame byte-equal to the receiver's kept wire
+bytes runs neither ``decode`` nor ``aggregate``, nor does one whose
+(receiver bytes, frame bytes) pair the run has already merged (see
+``protocol``).
 
 Perception is synthetic: ``perceive`` reads a ``GroundTruth`` of disc objects
 and vehicles. What does not depend on the viewer is built once per world,
@@ -75,12 +77,15 @@ class SensingMatrix:
     ``cells[row, col]`` holds the state of block (col, row); row 0 is the
     zone's southernmost block row.
 
-    A matrix is its wire bytes, which never change: the constructor packs
-    its cells once, and reading ``cells`` unpacks a fresh, writeable array,
-    so a write into it changes neither the matrix nor the next read.
+    A matrix is backed by exactly one of two things: its wire bytes (the
+    constructor packs its cells once, so it keeps no reference to them) or
+    its cell array. Reading ``cells`` on a wire-backed matrix unpacks a
+    fresh, writeable array that becomes the backing, and the bytes are
+    dropped, so a write into it is seen by the next ``encode``. ``cells``
+    cannot be assigned.
     """
 
-    __slots__ = ("zone", "shape", "_wire")
+    __slots__ = ("zone", "shape", "_cells", "_wire")
 
     def __init__(self, zone: ZoneIndex, cells: np.ndarray) -> None:
         cells = np.asarray(cells)
@@ -89,14 +94,16 @@ class SensingMatrix:
         # Checked before the cast, which would wrap 259 to 3 and cut 2.7 to 2.
         if cells.size and (cells.dtype.kind not in "biu" or cells.min() < 0 or cells.max() > 3):
             raise ValueError("cell values must be integers that fit in two bits")
-        self.zone, self.shape = zone, cells.shape
+        self.zone, self.shape, self._cells = zone, cells.shape, None
         self._wire = _pack(cells.astype(np.uint8, copy=False))
 
     @property
     def cells(self) -> np.ndarray:
-        m, n = self.shape
-        flat = _UNPACK.take(np.frombuffer(self._wire, dtype=np.uint8), axis=0)
-        return flat.reshape(-1)[: m * n].reshape(m, n)
+        if self._cells is None:
+            m, n = self.shape
+            flat = _UNPACK.take(np.frombuffer(self._wire, dtype=np.uint8), axis=0)
+            self._cells, self._wire = flat.reshape(-1)[: m * n].reshape(m, n), None
+        return self._cells
 
     @property
     def m(self) -> int:
@@ -111,16 +118,21 @@ class SensingMatrix:
         """Wrap the ceil(m*n/4) wire bytes of an m x n matrix whose padding
         bits are zero."""
         mat = object.__new__(cls)
-        mat.zone, mat.shape, mat._wire = zone, shape, wire
+        mat.zone, mat.shape, mat._cells, mat._wire = zone, shape, None, wire
         return mat
 
     def copy(self) -> "SensingMatrix":
-        return SensingMatrix._wired(self.zone, self.shape, self._wire)
+        # A copy is wire-backed: bytes are immutable, so it shares them.
+        return SensingMatrix._wired(self.zone, self.shape, encode(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SensingMatrix):
             return NotImplemented
-        return (self.zone, self.shape, self._wire) == (other.zone, other.shape, other._wire)
+        return (
+            self.zone == other.zone
+            and self.shape == other.shape
+            and encode(self) == encode(other)
+        )
 
     def __repr__(self) -> str:
         return f"SensingMatrix(zone={self.zone!r}, cells={self.cells!r})"
@@ -141,9 +153,14 @@ def encode(mat: SensingMatrix) -> bytes:
     pair b1 is the more significant bit. With the default 20x20 zone this is
     exactly 100 bytes; when the cell count is not a multiple of four the last
     byte is padded with zero bits so equal matrices still encode to equal
-    bytes. The matrix holds these bytes, so this returns them.
+    bytes.
+
+    A wire-backed matrix returns its bytes. A cells-backed one is packed
+    afresh on every call, as its cells may have been written in place.
     """
-    return mat._wire
+    if mat._wire is not None:
+        return mat._wire
+    return _pack(mat._cells)
 
 
 def _pack(cells: np.ndarray) -> bytes:
@@ -156,20 +173,30 @@ def _pack(cells: np.ndarray) -> bytes:
     return (flat.reshape(-1, 4) @ _QUAD_WEIGHTS).tobytes()
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer: a bool is not one, numpy integers are."""
+    return type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, (int, np.integer))
+    )
+
+
 def decode(data: bytes, zone: ZoneIndex, m: int, n: int) -> SensingMatrix:
     """Inverse of encode. Raises ValueError unless m and n are non-negative
     integers, then PayloadSizeError on a wrong-length payload.
 
-    Builds no array: the result holds the payload's bytes, with the padding
-    bits past m*n cells cleared, so it encodes as its cells would.
+    Builds no array: the result is backed by the payload's bytes, with the
+    padding bits past m*n cells cleared, so it encodes as its cells would.
     """
-    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0 for d in (m, n)):
-        raise ValueError(f"m and n must be non-negative integers, got {m!r} and {n!r}")
-    m, n = int(m), int(n)
+    if not (type(m) is type(n) is int and m >= 0 and n >= 0):  # a run's own shape passes here
+        if not (_is_int(m) and _is_int(n) and m >= 0 and n >= 0):
+            raise ValueError(f"m and n must be non-negative integers, got {m!r} and {n!r}")
+        m, n = int(m), int(n)
     expected = (m * n + 3) // 4
     data = bytes(data)
     if len(data) != expected:
-        raise PayloadSizeError(f"expected {expected} bytes for a {m}x{n} matrix, got {len(data)}")
+        raise PayloadSizeError(
+            f"expected {expected} bytes for a {m}x{n} matrix, got {len(data)}"
+        )
     pad_bits = -(m * n) % 4 * 2
     if data[-1:] and data[-1] & ((1 << pad_bits) - 1):
         data = data[:-1] + bytes((data[-1] >> pad_bits << pad_bits,))
@@ -188,7 +215,7 @@ def aggregate(
     value actually differs from before.
 
     The merge runs on both payloads at once, each read as one big-endian
-    int (SWAR, "SIMD within a register"), and wraps the merged bytes.
+    int (SWAR, "SIMD within a register"), and returns a wire-backed matrix.
     ``lo`` holds the low bit b0 of every pair, so ``c1``/``r1`` mark the
     sensed cells of each side at b0. ``fill`` marks the cells that take the
     received value; ``conf`` the cells sensed on both sides whose values
@@ -218,7 +245,8 @@ def aggregate(
 def has_uncertain(mat: SensingMatrix) -> bool:
     """True iff any cell is UNCERTAIN (01), tested on the wire bytes read as
     one int ``x``: a cell is 01 where b1 is clear and b0 set, which
-    ``~(x >> 1) & x`` marks at b0. The padding reads 00."""
+    ``~(x >> 1) & x`` marks at b0. The padding reads 00. A wire-backed matrix
+    stays wire-backed."""
     wire = encode(mat)
     x = int.from_bytes(wire, "big")
     return bool(~(x >> 1) & x & int.from_bytes(b"\x55" * len(wire), "big"))
@@ -394,7 +422,7 @@ def perceive(
     OBJECT when some object or vehicle center lies in the block, NO_OBJECT
     otherwise. The vehicle's own block follows the same rules, so it reads
     OBJECT unless its center is out of range or hidden by another disc.
-    Its wire bytes are kept on the world for the world's vehicles.
+    The matrix is backed by wire bytes, kept on the world for its vehicles.
     """
     if locate_zone(self_pos, cfg) != zone:
         raise OutOfZoneError(f"vehicle {self_id} at {self_pos!r} is outside zone {tuple(zone)}")

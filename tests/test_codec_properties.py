@@ -261,7 +261,23 @@ def test_merging_decoded_payloads_matches_the_reference_merge_of_their_cells(cas
     assert merged.shape == (m, n) and np.array_equal(merged.cells, want.cells)
 
 
-def test_a_matrix_keeps_its_bytes_whatever_is_written_into_cells():
+def test_a_write_into_cells_is_seen_by_the_next_encode():
+    rows = [[3, 2, 0], [1, 2, 2], [0, 0, 3]]  # nine cells: the last byte pads
+    fresh = SensingMatrix(Z, rows)
+    encode(fresh)
+    decoded = decode(encode(fresh), Z, 3, 3)
+    free = decode(encode(SensingMatrix(Z, np.full((3, 3), 2))), Z, 3, 3)
+    merged, _ = aggregate(decoded, free)
+    reencoded = decode(encode(fresh), Z, 3, 3)
+    encode(reencoded)
+    for mat in (fresh, decoded, merged, reencoded):
+        before = encode(mat)
+        mat.cells[2, 2] ^= 1
+        assert encode(mat) != before
+        assert encode(mat) == reference_encode(SensingMatrix(Z, mat.cells.copy()))
+
+
+def test_cells_cannot_be_assigned_and_the_constructor_copies_its_input():
     rows = [[3, 2, 0], [1, 2, 2], [0, 0, 3]]  # nine cells: the last byte pads
     built = SensingMatrix(Z, rows)
     decoded = decode(encode(built), Z, 3, 3)
@@ -270,16 +286,11 @@ def test_a_matrix_keeps_its_bytes_whatever_is_written_into_cells():
     world = GroundTruth(objects=(((12.0, 7.0), 1.0),), vehicles=((1, (2.0, 2.0), 0.0),))
     perceived = perceive(1, (2.0, 2.0), world, locate_zone((2.0, 2.0), grid), grid, 8.0)
     for mat in (built, decoded, merged, perceived):
-        wire, before = encode(mat), mat.cells.copy()
-        twin = decode(wire, mat.zone, mat.m, mat.n)
-        cells = mat.cells
-        cells ^= 1
-        assert encode(mat) == wire and mat == twin
-        assert np.array_equal(mat.cells, before)
+        wire = encode(mat)
         with pytest.raises(AttributeError):
-            mat.cells = cells
-        assert encode(mat) == wire
-        given = mat.cells
+            mat.cells = np.array([[7, 9], [300, 0]])
+        assert mat.shape == (3, 3) and encode(mat) == wire
+        given = mat.cells.copy()
         rebuilt = SensingMatrix(mat.zone, given)
         given ^= 1
         assert rebuilt == mat and encode(rebuilt) == wire
@@ -288,17 +299,24 @@ def test_a_matrix_keeps_its_bytes_whatever_is_written_into_cells():
 def test_comparing_a_wire_backed_and_a_cells_backed_matrix_converts_neither():
     cells_backed = SensingMatrix(Z, [[3, 2, 0], [1, 2, 2]])
     other_cells = SensingMatrix(Z, [[3, 2, 0], [1, 2, 3]])
+    for mat in (cells_backed, other_cells):
+        mat.cells  # a read makes the cells the backing
     wire_backed = decode(encode(cells_backed), Z, 2, 3)
     assert wire_backed == cells_backed and cells_backed == wire_backed
     assert wire_backed != other_cells and other_cells != wire_backed
+    for mat in (cells_backed, other_cells):
+        assert mat._wire is None and mat._cells is not None
+    assert wire_backed._cells is None and wire_backed._wire == encode(cells_backed)
 
 
 @given(st.one_of(matrices(), payloads()))
 @example((1, 1, b"\x95"))  # one 10 cell; the padding bits read 01 01 01
 def test_has_uncertain_reads_the_bytes_and_keeps_them(case):
     if isinstance(case, SensingMatrix):
-        mat = ref = case
+        mat, ref = case, case.copy()  # reading ref's cells leaves mat's backing
     else:
         m, n, payload = case
         mat, ref = decode(payload, Z, m, n), reference_decode(payload, Z, m, n)
+    wired = mat._wire is not None
     assert has_uncertain(mat) is bool((ref.cells == BlockState.UNCERTAIN).any())
+    assert (mat._cells is None) is wired

@@ -20,7 +20,6 @@ from zonecast import (
     build_world,
     bundled_scenario,
     channel,
-    encode,
     engine,
     grid,
     load_scenario,
@@ -219,29 +218,6 @@ def test_final_matrix_is_a_copy_of_no_state(monkeypatch):
     before = digest(m)
     m.final_matrix.cells[...] = 0
     assert digest(run(cfg)) == before
-
-
-def test_a_write_into_a_shared_matrix_moves_no_vehicle_bytes(monkeypatch):
-    # The memo shares merged matrices between vehicles, and a state's payload
-    # is always encode(matrix): a write into one vehicle's cells array must
-    # change neither.
-    states, init = [], engine.init_vehicle
-
-    def kept(*args):
-        states.append(init(*args))
-        return states[-1]
-
-    fig9 = PRESETS["paper-fig9"].base
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "init_vehicle", kept)
-        run(replace(fig9, placement=replace(fig9.placement, count=40)))
-    shared = max(states, key=lambda s: sum(t.matrix is s.matrix for t in states))
-    assert sum(t.matrix is shared.matrix for t in states) > 1
-    before = [(s.payload, encode(s.matrix)) for s in states]
-    cells = shared.matrix.cells
-    cells ^= 1
-    assert [(s.payload, encode(s.matrix)) for s in states] == before
-    assert all(s.payload == encode(s.matrix) for s in states)
 
 
 FIG9 = PRESETS["paper-fig9"].base

@@ -24,9 +24,10 @@ block centres, occupied blocks and occluder discs. The first call for a
 world, zone, grid and range perceives all the world's vehicles in one pass
 and keeps their wire bytes on the world; any other viewer is a pass of one
 (``_perceive_rows``). A world with no disc of radius > 0 skips the occlusion
-test altogether; otherwise ``_hidden`` tests every disc within reach of a
-viewer at once against the block centres in sensing range, reproducing the
-float results of the rule applied to one disc at a time (see its docstring).
+test altogether; otherwise ``_hidden`` drops a block's (viewer, disc, centre)
+triples whose sight line passes clear of the disc by a conservative strip
+pre-test, and one exact hit test on the rest reproduces the float results of
+the rule applied to one disc at a time (see its docstring).
 """
 
 from __future__ import annotations
@@ -311,17 +312,18 @@ def _world_view(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> _WorldV
     return view
 
 
-def _hidden(viewer: np.ndarray, cols: np.ndarray, seg: np.ndarray, discs: np.ndarray,
-            w: np.ndarray, view: _WorldView) -> np.ndarray:
-    """The entries of ``cols`` (no center at the viewer v) hidden behind ``discs``:
-    ``seg`` holds c - v per center as x, y and squared length, ``w`` q - v per disc.
+def _hidden(v: np.ndarray, seg: tuple, live: np.ndarray, w: tuple, near: np.ndarray,
+            view: _WorldView, slack: float) -> np.ndarray:
+    """Flat indices into a block's (viewers, C) cells of the centers hidden from
+    viewers ``v``: ``seg`` holds c - v per center as x, y and squared length
+    (``live``: in range, not at v), ``w`` q - v per disc (``near``: in reach).
 
     A disc blocks the view of a center c when the viewer-to-c segment passes
     within the disc radius strictly between its endpoints: both the viewer
     and c itself must lie outside the disc, so an object never shadows the
     block it occupies. The viewer's own disc never occludes.
 
-    Only discs within reach are tested. Every center in ``cols`` lies within
+    Only discs within reach are tested. Every center in range lies within
     ``sensing_range`` R of the viewer v, so the closest point of its segment
     does too, and a disc of radius r centred farther than R + r from v can
     never pass ``dx*dx + dy*dy <= r2``. The cut reuses the squared distance
@@ -350,35 +352,64 @@ def _hidden(viewer: np.ndarray, cols: np.ndarray, seg: np.ndarray, discs: np.nda
     which is then hit while ``w·w`` reads above (R + r)**2
     (``tests/test_perceive_properties.py`` keeps such worlds).
 
-    The discs left are tested at once, as (discs x cols) arrays.
-    Ties (a segment tangent to a disc, a center on its boundary) are decided
-    by exact float comparisons, so every value is computed in the float
-    order of the rule applied to one disc at a time, with separate
-    elementwise ufuncs on split x/y arrays: they never fuse a multiply-add,
-    so the bits do not depend on the platform's BLAS.
+    A strip pre-test first drops the (viewer, disc, center) triples whose
+    line passes clear of the disc: it keeps a triple unless cross*cross >
+    reff2 * seg_len2, for cross = sx*wy - sy*wx, reff = r(1 + 2**-40) +
+    slack, slack = 2**-40 (S + R) + 2**-500 and S the block's largest
+    |vx| + |vy|. Take a hit, values as computed, and r2 finite:
+    - |q - p| <= r(1 + 4u) + 2**-535, as above with subnormal squares;
+    - p lies within u|v| + 2.01u|seg| + 2**-1073 of v + t*seg, so q lies
+      within D <= r(1 + 4u) + u|v| + 2.01u|seg| + 2**-534 of the line, and
+      |q - v| <= r(1 + 4u) + (1 + 3u)|seg| + u|v| + 2**-534;
+    - |seg|D = |sx(qy - vy) - sy(qx - vx)| exactly; rounding w and cross
+      adds u|seg|D + 2.02u|seg||q - v| + 2**-1073 at most, so if seg_len2 >=
+      2**-1020, |cross| <= |seg|a with a = r(1 + 8u) + 1.1u|v| + 4.1u|seg|
+      + 2**-533, and seg_len2 >= |seg|**2 (1 - 4u);
+    - reff2 >= reff**2 (1 - 11u) and a <= reff(1 - 8u), so cross*cross <=
+      reff2 * seg_len2 as exact products, and rounding keeps the order.
+    Shorter segments round their squares absolutely, so the pre-test reads
+    their length as inf. If cross overflows, |seg||q - v| >= 2**1022 (or w
+    overflowed and |q - v| > 2**1023) while reff >= 2**-41 |q - v|, so
+    reff2 * seg_len2 overflows too; inf - inf is NaN, kept by testing
+    ~(a > b); an infinite reff or r2 keeps every triple. The rest take one
+    exact test, in the float order of the rule applied to one disc at a
+    time: separate ufuncs on split x/y arrays never fuse a multiply-add, so
+    ties (a segment tangent to a disc, a center on its boundary) get the
+    same bits under any BLAS.
     """
-    qx, qy, r2 = view.q[discs, :1], view.q[discs, 1:], view.r2[discs, None]
-    cx, cy = view.centers[cols].T
-    (sx, sy, seg_len2), (wx, wy) = seg[:, cols], w[:, discs, None]
+    # Each viewer's centers in range, as flat (viewers, C) indices padded to L.
+    L, C = live.sum(axis=1).max(), live.shape[1]
+    at = np.argsort(~live, axis=1)[:, :L] + np.arange(len(v))[:, None] * C
+    valid, px, py, plen2 = (a.take(at) for a in (live, *seg))
+    pb, pk = np.nonzero(near)
+    pwx, pwy = w[0][pb, pk], w[1][pb, pk]
+    reff = view.r[pk] * (1 + 2**-40) + slack
+    strip = np.where(plen2 < 2**-1020, np.inf, plen2)[pb] * (reff * reff)[:, None]
+    cross = px[pb] * pwy[:, None] - py[pb] * pwx[:, None]
+    i, j = np.divmod(np.flatnonzero(~(cross * cross > strip) & valid[pb]), L)
+    b, k, cell = pb[i], pk[i], at[pb[i], j]
+    (sx, sy, seg_len2), wx, wy = (a.take(cell) for a in seg), pwx[i], pwy[i]
+    qx, qy, r2, c = view.q[k, 0], view.q[k, 1], view.r2[k], cell - b * C
     t = (sx * wx + sy * wy) / seg_len2
     t = np.minimum(np.maximum(t, 0.0), 1.0)
-    dx = qx - (viewer[0] + t * sx)
-    dy = qy - (viewer[1] + t * sy)
-    ox, oy = cx - qx, cy - qy  # a center on or in the disc is not hidden by it
+    dx = qx - (v[b, 0] + t * sx)
+    dy = qy - (v[b, 1] + t * sy)
+    ox, oy = view.centers[c, 0] - qx, view.centers[c, 1] - qy  # on or in the disc: not hidden
     hit = (dx * dx + dy * dy <= r2) & (ox * ox + oy * oy > r2)
-    return cols[hit.any(axis=0)]
+    return cell[hit]
 
 
 # Entries per (viewers, C) or (viewers, M) array of a block of one viewer or more.
 _ROW_CELLS = 2**12
 
 
-@np.errstate(over="ignore")  # an overflowed square compares as inf, as intended
+@np.errstate(over="ignore", invalid="ignore")  # inf compares as intended; inf - inf is kept
 def _perceive_rows(viewers: list, view: _WorldView, sensing_range: float) -> list[bytes]:
     """The wire bytes each (id, position) of ``viewers`` perceives. A block of
     viewers takes the center offsets, their ``hypot``, the range masks and the
     disc cut as (viewers, C) and (viewers, M) arrays, with one viewer's ufuncs
-    on the same elements; only ``_hidden``'s hit test runs per viewer."""
+    on the same elements, then one ``_hidden`` call: its strip pre-test drops
+    only triples its exact hit test cannot hit, so no cell changes."""
     step = max(1, _ROW_CELLS // max(len(view.centers), len(view.r2)))
     reach = (sensing_range + view.r) * (1 + 2**-40) + 2**-500
     base = np.where(view.occupied, np.uint8(BlockState.OBJECT), np.uint8(BlockState.NO_OBJECT))
@@ -398,10 +429,9 @@ def _perceive_rows(viewers: list, view: _WorldView, sensing_range: float) -> lis
             # Only centers in range can read UNCERTAIN; the rest read 00 anyway.
             seg_len2 = sx * sx + sy * sy
             live = (dist <= sensing_range) & (seg_len2 > 0)
-            seg, w = np.stack([sx, sy, seg_len2], axis=1), np.stack([wx, wy], axis=1)
-            for b in range(len(block)):
-                cols, discs = np.flatnonzero(live[b]), np.flatnonzero(near[b])
-                cells[b, _hidden(v[b], cols, seg[b], discs, w[b], view)] = BlockState.UNCERTAIN
+            slack = (np.abs(v).sum(axis=1).max() + sensing_range) * 2**-40 + 2**-500
+            hidden = _hidden(v, (sx, sy, seg_len2), live, (wx, wy), near, view, slack)
+            cells.reshape(-1)[hidden] = BlockState.UNCERTAIN
         cells[dist > sensing_range] = BlockState.OUT_OF_SENSING
         out += [_pack(row) for row in cells]
     return out

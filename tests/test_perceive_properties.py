@@ -41,24 +41,24 @@ RADII = (0.0, 0.5, 1.0, 2.0, 2.5)
 
 def reference_occluded_mask(viewer, centers, occluders):
     """The occlusion rule, one occluder disc at a time, in plain elementwise
-    float arithmetic."""
+    float arithmetic on split x/y arrays."""
     occluded = np.zeros(len(centers), dtype=bool)
     seg = centers - viewer
     sx, sy = seg[:, 0], seg[:, 1]
     seg_len2 = sx * sx + sy * sy
     safe_len2 = np.where(seg_len2 == 0, 1.0, seg_len2)
-    for pos, radius in occluders:
+    for (qx, qy), radius in occluders:
         if radius <= 0:
             continue
-        q = np.asarray(pos, dtype=float)
-        wx, wy = q - viewer
-        if wx * wx + wy * wy <= radius * radius:
+        r2 = radius * radius
+        wx, wy = qx - viewer[0], qy - viewer[1]
+        if wx * wx + wy * wy <= r2:
             continue  # viewer inside the disc: no clean shadow
-        t = np.clip((sx * wx + sy * wy) / safe_len2, 0.0, 1.0)
-        closest = viewer + t[:, None] * seg
-        d2 = ((q - closest) ** 2).sum(axis=1)
-        target_clear = ((centers - q) ** 2).sum(axis=1) > radius * radius
-        occluded |= (d2 <= radius * radius) & target_clear & (seg_len2 > 0)
+        t = np.minimum(np.maximum((sx * wx + sy * wy) / safe_len2, 0.0), 1.0)
+        dx, dy = qx - (viewer[0] + t * sx), qy - (viewer[1] + t * sy)
+        ox, oy = centers[:, 0] - qx, centers[:, 1] - qy
+        target_clear = ox * ox + oy * oy > r2
+        occluded |= (dx * dx + dy * dy <= r2) & target_clear & (seg_len2 > 0)
     return occluded
 
 
@@ -362,3 +362,135 @@ def test_a_world_perceived_in_blocks_matches_the_reference(monkeypatch):
                 assert got.tolist() == want[vid].tolist(), f"viewer {vid}, budget {budget}"
             got = perceive(1, away, world, Z, grid, 25.0).cells
             assert got.tolist() == want_away.tolist(), f"budget {budget}"
+
+
+# Radii of the strip cases, down to 2**-30 m.
+STRIP_RADII = (2.0**-30, 2.0**-12, 0.25, 1.0, 2.5)
+
+
+# A disc of a strip case: radius, position along the segment, side and ulp nudges.
+strip_disc = st.tuples(
+    st.sampled_from(STRIP_RADII), st.floats(0.02, 0.98), st.sampled_from((-1.0, 1.0)),
+    st.integers(-2, 2), st.integers(-2, 2),
+)
+
+
+@st.composite
+def strip_cases(draw):
+    """A viewer and a block centre c in range, with two discs of radius r
+    whose centres lie r to either side of the segment from the viewer to c,
+    so the segment is tangent to each disc, each coordinate then nudged by up
+    to two ulps. The zones are the reach cases', near (0, 0) and far out."""
+    (ox, oy), (x, y), (i, j), far_range, *discs = draw(st.tuples(
+        st.sampled_from(ORIGINS), st.tuples(st.floats(0.0, 23.9), st.floats(0.0, 23.9)),
+        st.tuples(st.integers(0, 11), st.integers(0, 11)), st.booleans(), strip_disc, strip_disc,
+    ))
+    viewer, c = (ox + x, oy + y), (ox + 2 * i + 1, oy + 2 * j + 1)
+    sx, sy = c[0] - viewer[0], c[1] - viewer[1]
+    length = math.hypot(sx, sy)
+    assume(length > 0)
+    objects = []
+    for r, lam, side, ux, uy in discs:
+        nx, ny = -side * r * sy / length, side * r * sx / length  # r off the segment
+        q = (viewer[0] + lam * sx + nx, viewer[1] + lam * sy + ny)
+        objects.append(((nudge(q[0], ux), nudge(q[1], uy)), r))
+    # c at the very edge of range, or well inside it.
+    sensing_range = 30.0 if far_range else float(np.hypot(sx, sy))
+    world = GroundTruth(objects=tuple(objects), vehicles=((1, viewer, 0.0),))
+    return reach_grid((ox, oy)), world, sensing_range
+
+
+# Near the float limit: 8 x 8 blocks of 2**510 m. The segment from the viewer
+# to the centre (7.5, 3.5) * 2**510 passes just inside the first disc, whose
+# radius squares to a finite r2, while its sx*wy overflows, so cross and
+# cross*cross read inf and the hit survives only because inf > inf is false.
+# The second disc lies so far out that both products of cross overflow for
+# the centre (7.5, 7.5) * 2**510, which makes cross NaN.
+FLOAT_LIMIT = (
+    GridConfig(zone_side=2.6815615859885194e154, block_side=3.3519519824856493e153),
+    GroundTruth(
+        objects=(
+            ((1.9446842082293125e154, 2.3741165179489216e154), 1.3273729850643171e154),
+            ((3.298802443446294e154, 2.676390733408259e154), 3.3519519824856493e153),
+        ),
+        vehicles=((1, (1.2876312539549044e154, 6.652195439168693e153), 0.0),),
+    ),
+    2.6815615859885194e154,
+)
+
+
+# A segment grazing two 2**-30 m discs near (0, 0): with zero slack in the
+# pre-test, a hit on one of them was dropped. Found by a search.
+TINY_GRAZE = (
+    reach_grid(ORIGINS[0]),
+    GroundTruth(
+        objects=(
+            ((-10.661869395248969, -11.499999999478282), 2.0**-30),
+            ((-10.366005116766855, -11.937499999478282), 2.0**-30),
+        ),
+        vehicles=((1, (-10.323738792040885, -12.0), 0.0),),
+    ),
+    1.207198915419626,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=strip_cases())
+@example(case=FLOAT_LIMIT)
+@example(case=TINY_GRAZE)
+def test_the_strip_pre_test_keeps_every_hit(case):
+    # Perceived with one disc at a time, a hit the pre-test dropped would read
+    # NO_OBJECT where the one-disc reference reads UNCERTAIN; then the world.
+    grid, world, sensing_range = case
+    ((vid, pos, _),), zone = world.vehicles, ZoneIndex(0, 0)
+    for objects in [(disc,) for disc in world.objects] + [world.objects]:
+        alone = GroundTruth(objects=objects, vehicles=world.vehicles)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_perceive(vid, pos, alone, zone, grid, sensing_range)
+        got = perceive(vid, pos, alone, zone, grid, sensing_range)
+        assert got.cells.tolist() == want.tolist(), f"discs {objects}"
+
+
+def test_float_limit_example_overflows_where_it_says():
+    # Guards FLOAT_LIMIT against a silent edit.
+    grid, world, sensing_range = FLOAT_LIMIT
+    (_, v, _), ((q, r), (q2, _)) = world.vehicles[0], world.objects
+    side = grid.block_side
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, s2 = np.subtract((7.5 * side, 3.5 * side), v), np.subtract((7.5 * side, 7.5 * side), v)
+        w, w2 = np.subtract(q, v), np.subtract(q2, v)
+        assert math.isinf(s[0] * w[1]) and math.isfinite(r * r)
+        assert math.isnan(s2[0] * w2[1] - s2[1] * w2[0])
+        want = reference_perceive(1, v, world, ZoneIndex(0, 0), grid, sensing_range)
+    assert want[3, 7] == BlockState.UNCERTAIN
+
+
+# Worlds at the edges of a block's triples, each with its sensing range and a
+# position of vehicle 1 that the world does not hold (a pass of one viewer).
+EDGE_WORLDS = {
+    # The one line in range, x = 1, passes 1.5 m from a 0.5 m disc in reach.
+    "no-surviving-triple": (
+        GroundTruth(objects=(((2.5, 2.0), 0.5),), vehicles=((1, (1.0, 2.0), 0.0),)),
+        1.5,
+        (1.0, 4.0),
+    ),
+    # No centre lies within 0.5 m of either vehicle, while each is in the other's reach.
+    "no-center-in-range": (
+        GroundTruth(vehicles=((1, (2.0, 2.0), 1.0), (2, (3.5, 2.0), 1.0))),
+        0.5,
+        (4.0, 4.0),
+    ),
+    "own-disc-only": (GroundTruth(vehicles=((1, (5.0, 5.0), 1.0),)), 30.0, (9.5, 2.5)),
+}
+
+
+@pytest.mark.parametrize("budget", [sensing._ROW_CELLS, 3 * 400, 1])
+@pytest.mark.parametrize("name", EDGE_WORLDS)
+def test_block_edges_match_the_reference(monkeypatch, name, budget):
+    monkeypatch.setattr(sensing, "_ROW_CELLS", budget)
+    world, sensing_range, away = EDGE_WORLDS[name]
+    world = GroundTruth(objects=world.objects, vehicles=world.vehicles)  # nothing kept yet
+    for vid, pos in [(vid, pos) for vid, pos, _ in world.vehicles] + [(1, away)]:
+        got = perceive(vid, pos, world, Z, G, sensing_range).cells
+        want = reference_perceive(vid, pos, world, Z, G, sensing_range)
+        assert got.tolist() == want.tolist(), f"viewer {vid} at {pos}"

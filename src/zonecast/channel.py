@@ -9,12 +9,13 @@ in rank order, sum to at most ``10**(-capture_threshold/10)``.
 
 Stations do not move during a run, so the link geometry is static: a
 LinkTable lists each station's neighbours within comm_range with their
-received powers. They are measured on first read, so a run in which no slot
-has both a sender and a listener, as in the default scenario, measures none.
-Powers come from received_power itself, one call per in-range pair, so they
-are bit-identical to the scalar model. numpy's log10 and hypot are not: they
-differ in the last bit on a few percent of pairs, which can flip a capture
-decision that sits on its threshold.
+received powers, measured on first read, so a run in which no slot has both
+a sender and a listener, as in the default scenario, measures none. Only
+pairs in one square or two neighbouring squares of side about comm_range
+(grid._square) are measured, each once, and each pair in range calls
+received_power once, so powers are bit-identical to the scalar model.
+numpy's log10 and hypot are not: they differ in the last bit on a few
+percent of pairs, which can flip a capture decision on its threshold.
 
 A slot is decided one of two ways, with the same outcomes. A small slot runs
 the scalar rule per listener: rank its audible groups, then fold their
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import ConfigError, Position, ZoneIndex
+from .grid import ConfigError, Position, ZoneIndex, _square, _square_side
 
 DELIVERED = "delivered"
 COLLISION = "collision"
@@ -118,11 +119,26 @@ class LinkTable:
 
     @cached_property
     def links(self) -> list[dict[int, float]]:
-        # math.dist is symmetric: each pair is measured once and linked both ways.
+        # Stations in range lie at most one square apart (grid._square), so each pair is
+        # measured once, in a square or with one of its four forward neighbours. Non-finite
+        # stations are in range of none unless comm_range is inf (one square).
+        reach, points = self.cfg.comm_range, list(enumerate(pos for _, pos in self.stations))
+        finite = (pos for _, pos in points if all(map(math.isfinite, pos)))
+        side = _square_side(reach, len(points), finite)  # reads finite only past 64 points
+        squares = defaultdict(list, {} if side < math.inf else {(0, 0): points})
+        for k, pos in points if side < math.inf else ():
+            if all(map(math.isfinite, pos)):
+                squares[_square(pos, side)].append((k, pos))
         links: list[dict[int, float]] = [{} for _ in self.stations]
-        for (i, p), (j, q) in itertools.combinations(enumerate(pos for _, pos in self.stations), 2):
-            if math.dist(q, p) <= self.cfg.comm_range:
-                links[i][j] = links[j][i] = received_power(q, p, self.cfg)
+        for (cx, cy), here in squares.items():
+            ahead = ((cx + 1, cy), (cx - 1, cy + 1), (cx, cy + 1), (cx + 1, cy + 1))
+            ahead = [pt for key in ahead for pt in squares.get(key, ())]
+            pairs = itertools.chain(itertools.combinations(here, 2), itertools.product(here, ahead))
+            for (i, p), (j, q) in pairs:
+                if math.dist(q, p) <= reach:
+                    if i > j:
+                        i, p, j, q = j, q, i, p
+                    links[i][j] = links[j][i] = received_power(q, p, self.cfg)
         return links
 
     @cached_property

@@ -18,6 +18,7 @@ import csv
 import io
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -33,7 +34,7 @@ from .channel import (
     link_table,
     resolve_slot,
 )
-from .grid import ConfigError, GridConfig, Position, ZoneIndex, locate_zone
+from .grid import ConfigError, GridConfig, Position, ZoneIndex, _square, _square_side, locate_zone
 from .protocol import (
     Merges,
     VehicleState,
@@ -214,19 +215,29 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
     draws = itertools.chain.from_iterable(
         iter(lambda: rng.uniform((x0, y0), (x1, y1), (_DRAW_BLOCK, 2)).tolist(), None)
     )
+    # A candidate's gap decides only up to this reach, and each point within it lies in
+    # the candidate's 3 x 3 squares (grid._square), which ``near`` lists it in.
+    square = _square_side(max(s, reach if p.connected else 0.0), p.count, ((x0, y0), (x1, y1)))
+    one = square == math.inf
     for _ in range(200):
         # Take candidates one at a time; when a connected graph is requested
         # each new point must also land within comm range of one already
         # placed, which keeps the layout connected by construction.
         pts: list[tuple[float, float]] = []
+        near: defaultdict[tuple[int, int], list[tuple[float, float]]] = defaultdict(list)
         for x, y in itertools.islice(draws, _DRAWS_PER_ATTEMPT):
             if pts:
-                gap = min(map(math.dist, itertools.repeat((x, y)), pts))
+                close = pts if one else near.get(_square((x, y), square), ())
+                gap = min(map(math.dist, itertools.repeat((x, y)), close)) if close else math.inf
                 if gap < s or (p.connected and gap > reach):
                     continue
             pts.append((x, y))
             if len(pts) == p.count:
                 return tuple((i + 1, pos) for i, pos in enumerate(pts))
+            if not one:
+                cx, cy = _square((x, y), square)
+                for key in itertools.product((cx - 1, cx, cx + 1), (cy - 1, cy, cy + 1)):
+                    near[key].append((x, y))
     raise ConfigError(
         f"could not place {p.count} vehicles (min separation "
         f"{p.min_separation} m, connected={p.connected}) in {(x0, y0, x1, y1)}"

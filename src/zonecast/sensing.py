@@ -82,8 +82,8 @@ class SensingMatrix:
     constructor packs its cells once, so it keeps no reference to them) or
     its cell array. Reading ``cells`` on a wire-backed matrix unpacks a
     fresh, writeable array that becomes the backing, and the bytes are
-    dropped, so a write into it is seen by the next ``encode``. ``cells``
-    cannot be assigned.
+    dropped, so a write into it is seen by the next ``encode``. ``cells``,
+    ``zone`` and ``shape`` cannot be assigned; the last two read as slots.
     """
 
     __slots__ = ("zone", "shape", "_cells", "_wire")
@@ -97,6 +97,11 @@ class SensingMatrix:
             raise ValueError("cell values must be integers that fit in two bits")
         self.zone, self.shape, self._cells = zone, cells.shape, None
         self._wire = _pack(cells.astype(np.uint8, copy=False))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in ("zone", "shape") and hasattr(self, name):
+            raise AttributeError(f"a SensingMatrix's {name} cannot be assigned")
+        object.__setattr__(self, name, value)
 
     @property
     def cells(self) -> np.ndarray:
@@ -118,8 +123,9 @@ class SensingMatrix:
     def _wired(cls, zone: ZoneIndex, shape: tuple[int, int], wire: bytes) -> "SensingMatrix":
         """Wrap the ceil(m*n/4) wire bytes of an m x n matrix whose padding
         bits are zero."""
-        mat = object.__new__(cls)
+        mat = object.__new__(_Fields)  # filled past __setattr__, then given its class
         mat.zone, mat.shape, mat._cells, mat._wire = zone, shape, None, wire
+        mat.__class__ = cls
         return mat
 
     def copy(self) -> "SensingMatrix":
@@ -138,6 +144,9 @@ class SensingMatrix:
     def __repr__(self) -> str:
         return f"SensingMatrix(zone={self.zone!r}, cells={self.cells!r})"
 
+
+# SensingMatrix's slots without its __setattr__.
+_Fields = type("_Fields", (), {"__slots__": SensingMatrix.__slots__})
 
 _QUAD_WEIGHTS = np.array([64, 16, 4, 1], dtype=np.uint8)
 

@@ -10,13 +10,22 @@ stations in a drawn order, and the outcomes must come back by ascending id.
 These slots are small, so resolve_slot decides them with its scalar loop.
 The array-path tests patch its cut to 0 inside the test body, so that the
 ranked rows and the float filter decide every slot.
+
+The link table's squares are checked against the all-pairs loop they
+replaced, kept as ``reference_links``: on lattices of more than 64 stations
+whose step divides comm_range, at the placement tests' four scales, and on
+non-finite stations, an infinite or subnormal range and a difference that
+rounds onto comm_range.
 """
 
+import itertools
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_placement_properties import LATTICES
 
 from zonecast import (
     COLLISION,
@@ -30,6 +39,7 @@ from zonecast import (
     received_power,
     resolve_slot,
 )
+from zonecast.grid import _square_side
 
 ZONES = (ZoneIndex(0, 0), ZoneIndex(1, 0))
 
@@ -214,3 +224,88 @@ def test_link_table_is_bit_identical_to_the_scalar_model(points, comm_range):
                 assert links[j] == received_power(spos, rpos, cfg)
             else:
                 assert j not in links
+
+
+def reference_links(stations, cfg):
+    """The link table's loop before squares: every pair, with math.dist."""
+    links = [{} for _ in stations]
+    for (i, p), (j, q) in itertools.combinations(enumerate(pos for _, pos in stations), 2):
+        if math.dist(q, p) <= cfg.comm_range:
+            links[i][j] = links[j][i] = received_power(q, p, cfg)
+    return links
+
+
+def uses_squares(stations, cfg):
+    finite = [pos for _, pos in stations if all(map(math.isfinite, pos))]
+    return _square_side(cfg.comm_range, len(stations), finite) < math.inf
+
+
+LATTICE_CELLS = list(itertools.product(range(-6, 7), repeat=2))
+
+
+@st.composite
+def lattice_tables(draw):
+    """65-100 stations of a 13 x 13 lattice at one of the placement tests'
+    scales, mirrored to negative coordinates on a drawn axis, with a step of
+    2**k ulps and a comm_range of 1, 2, 3 or 5 steps: pairs sit exactly at
+    comm_range, many across a square's edge."""
+    origin, ulp = draw(st.sampled_from(LATTICES))
+    step = ulp * 2.0 ** draw(st.integers(0, 41))
+    sx, sy = draw(st.sampled_from(((1, 1), (-1, 1), (1, -1), (-1, -1))))
+    count = draw(st.integers(65, 100))
+    cells = draw(st.randoms(use_true_random=False)).sample(LATTICE_CELLS, count)
+    stations = [
+        (k, (sx * origin + i * step, sy * origin + j * step)) for k, (i, j) in enumerate(cells)
+    ]
+    reach = draw(st.sampled_from((1, 2, 3, 5))) * step
+    return stations, ChannelConfig(comm_range=reach, path_loss_exponent=3.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattice_tables())
+def test_lattice_link_tables_match_the_all_pairs_loop(case):
+    stations, cfg = case
+    assert link_table(stations, cfg).links == reference_links(stations, cfg)
+
+
+def spread(count, x0=10.0, y0=10.0, gap=3.0):
+    """``count`` stations on a 10-wide lattice ``gap`` apart, ids from 100."""
+    return [(100 + k, (x0 + gap * (k % 10), y0 + gap * (k // 10))) for k in range(count)]
+
+
+SQUARE_CASES = {
+    # Non-finite stations get no square and, at a finite range, no link.
+    "non-finite": (
+        [(1, (math.inf, 0.0)), (2, (-math.inf, 5.0)), (3, (math.nan, 1.0)), (4, (2.0, math.nan))]
+        + [(5, (math.inf, math.inf)), (6, (11.0, 11.0))]
+        + spread(70),
+        ChannelConfig(comm_range=4.0),
+        True,
+    ),
+    # One square: an infinite station links to every finite one, at -inf dB.
+    "infinite range": (
+        [(1, (math.inf, 0.0)), (2, (math.nan, 0.0))] + spread(70),
+        ChannelConfig(comm_range=math.inf),
+        False,
+    ),
+    # 100 / 5e-324 overflows: one square, and the pair 5e-324 apart links.
+    "subnormal range": (
+        [(1, (0.0, 0.0)), (2, (5e-324, 0.0))] + spread(70),
+        ChannelConfig(comm_range=5e-324),
+        False,
+    ),
+    # 1 - (-2**-80) rounds to 1.0, so math.dist puts the pair at comm_range
+    # while it lies farther apart: without the slack, two squares apart.
+    "rounded onto the range": (
+        [(1, (-(2.0**-80), 0.0)), (2, (1.0, 0.0))] + spread(70),
+        ChannelConfig(comm_range=1.0),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SQUARE_CASES)
+def test_square_cases_match_the_all_pairs_loop(name):
+    stations, cfg, squares = SQUARE_CASES[name]
+    assert uses_squares(stations, cfg) is squares
+    assert link_table(stations, cfg).links == reference_links(stations, cfg)

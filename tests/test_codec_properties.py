@@ -8,6 +8,9 @@ Every result must be a fresh, writable ``uint8`` array that shares memory
 with neither its inputs nor a lookup table.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -294,6 +297,23 @@ def test_cells_cannot_be_assigned_and_the_constructor_copies_its_input():
         rebuilt = SensingMatrix(mat.zone, given)
         given ^= 1
         assert rebuilt == mat and encode(rebuilt) == wire
+
+
+def test_zone_and_shape_cannot_be_assigned_and_copies_keep_both():
+    built = SensingMatrix(Z, np.array([[1, 2], [3, 0]]))
+    merged, _ = aggregate(decode(encode(built), Z, 2, 2), SensingMatrix(Z, np.full((2, 2), 2)))
+    for mat in (built, merged, merged.copy()):
+        wire = encode(mat)
+        for name, value in (("shape", (5, 5)), ("zone", ZoneIndex(1, 0))):
+            with pytest.raises(AttributeError):
+                setattr(mat, name, value)
+        assert (mat.zone, mat.shape) == (Z, (2, 2)) and encode(mat) == wire
+        assert mat.cells.shape == (2, 2)  # a read makes the cells the backing
+        for twin in (copy.copy(mat), copy.deepcopy(mat), pickle.loads(pickle.dumps(mat))):
+            assert type(twin) is SensingMatrix and twin == mat and encode(twin) == wire
+            with pytest.raises(AttributeError):
+                twin.shape = (5, 5)
+    assert encode(built) == bytes.fromhex("6c")
 
 
 def test_comparing_a_wire_backed_and_a_cells_backed_matrix_converts_neither():

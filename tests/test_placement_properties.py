@@ -8,7 +8,10 @@ distances: candidates land exactly on a threshold, where the placement must
 decide as the old loop did. The lattices sit at unit scale, at 2**40, in
 the subnormal range and near 2**1000. Off the lattices, thresholds are set
 to the exact gap between the first two drawn points, and ordinary
-placements in a 100 m zone are compared too.
+placements in a 100 m zone are compared too, and layouts of 80 to 100
+vehicles on each side of the squares' choice: one square (an infinite range,
+an area of two squares an axis) and many (far from the origin, and squares
+of min_separation when not connected).
 """
 
 import math
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from zonecast.channel import ChannelConfig
 from zonecast.engine import Placement, ScenarioConfig, _place_vehicles
+from zonecast.grid import _square_side
 
 
 def _is_connected(points: np.ndarray, comm_range: float) -> bool:
@@ -172,3 +176,36 @@ def test_draws_continue_across_attempts(seed):
     placed = _place_vehicles(cfg)
     assert placed[0][1] != first  # an attempt's first draw is always kept
     assert placed == reference_place(cfg)
+
+
+def one_square(cfg: ScenarioConfig) -> bool:
+    """Whether placement measures a candidate against every placed point."""
+    p = cfg.placement
+    x0, y0, x1, y1 = p.area or (0.0, 0.0, cfg.grid.zone_side, cfg.grid.zone_side)
+    reach = max(p.min_separation, cfg.channel.comm_range if p.connected else 0.0)
+    return _square_side(reach, p.count, ((x0, y0), (x1, y1))) == math.inf
+
+
+FAR = 2.0**40
+SQUARE_PLACEMENTS = {
+    # An infinite side: one square.
+    "infinite range": (ChannelConfig(comm_range=math.inf), Placement(80), True),
+    # occluded's layout: a 100 m range over the 100 m zone is one square.
+    "two squares an axis": (ChannelConfig(), Placement(100), True),
+    "far from the origin": (
+        ChannelConfig(comm_range=20.0),
+        Placement(80, (FAR, FAR, FAR + 100.0, FAR + 100.0)),
+        False,
+    ),
+    # Not connected: 5 m squares, though the range alone would make one.
+    "min_separation alone": (ChannelConfig(), Placement(80, None, 5.0, False), False),
+}
+
+
+@pytest.mark.parametrize("name", SQUARE_PLACEMENTS)
+def test_square_placements_match_the_math_dist_loop(name):
+    channel, placement, one = SQUARE_PLACEMENTS[name]
+    for seed in (0, 7):
+        cfg = ScenarioConfig(channel=channel, placement=placement, seed=seed)
+        assert one_square(cfg) is one
+        assert _place_vehicles(cfg) == reference_place(cfg)

@@ -15,8 +15,8 @@ from zonecast import (
     build_world,
     bundled_scenario,
     format_matrix,
-    init_vehicle,
     load_scenario,
+    perceive,
     run,
 )
 
@@ -27,8 +27,8 @@ print("vehicles:", ", ".join(f"{vid} at {pos}" for vid, pos in vehicles))
 print()
 
 # Vehicle 1's view before any exchange: the cells behind vehicle 2 are 01.
-v1 = init_vehicle(1, vehicles[0][1], world, cfg.grid, cfg.sensing_range)
-unc = np.argwhere(v1.matrix.cells == BlockState.UNCERTAIN)
+v1 = perceive(1, vehicles[0][1], world, zone, cfg.grid, cfg.sensing_range)
+unc = np.argwhere(v1.cells == BlockState.UNCERTAIN)
 print(f"vehicle 1 starts with {len(unc)} UNCERTAIN cell(s) at (row, col): "
       f"{[tuple(map(int, rc)) for rc in unc]}")
 print()

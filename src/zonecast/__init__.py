@@ -23,7 +23,6 @@ from .engine import (
     ScenarioConfig,
     build_world,
     run,
-    run_baseline,
     sweep,
     sweep_csv,
 )
@@ -34,12 +33,6 @@ from .grid import (
     locate_zone,
 )
 from .presets import PRESETS
-from .protocol import (
-    init_vehicle,
-    is_globally_converged,
-    on_delivery,
-    on_slot_begin,
-)
 from .scenario import (
     bundled_scenario,
     load_scenario,

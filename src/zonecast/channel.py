@@ -144,10 +144,7 @@ class LinkTable:
     @cached_property
     def _ids(self) -> list[int]:
         """Station ids by position k."""
-        ids = [0] * len(self.index)
-        for sid, k in self.index.items():
-            ids[k] = sid
-        return ids
+        return [sid for sid, _ in self.stations]
 
     @cached_property
     def _silence(self) -> dict[int, Outcome]:

@@ -20,9 +20,8 @@ from typing import NoReturn, Optional
 
 from .engine import ConfigError, ScenarioConfig, build_world, run, sweep, sweep_csv
 from .presets import PRESETS, SweepPreset
-from .protocol import init_vehicle
 from .scenario import load_scenario
-from .sensing import format_matrix
+from .sensing import format_matrix, perceive
 
 
 def _write(out: str, files: dict[str, str]) -> None:
@@ -74,7 +73,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs --preset or a non-empty --counts")
     else:
         base = load_scenario(args.scenario) if args.scenario else ScenarioConfig()
-        plan = SweepPreset(tuple(args.counts), 20, base, (args.mac or "l3",))
+        plan = SweepPreset(tuple(args.counts), 20, base, (args.mac or base.mac_mode,))
     trials = plan.trials if args.trials is None else args.trials
     seed = plan.base.seed if args.seed is None else args.seed
     runs = {
@@ -90,11 +89,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_dump_matrix(args: argparse.Namespace) -> int:
     cfg = load_scenario(args.scenario)
-    _, vehicles, world = build_world(cfg)
+    zone, vehicles, world = build_world(cfg)
     for vid, pos in vehicles:
         if vid == args.vehicle:
-            state = init_vehicle(vid, pos, world, cfg.grid, cfg.sensing_range)
-            print(format_matrix(state.matrix))
+            print(format_matrix(perceive(vid, pos, world, zone, cfg.grid, cfg.sensing_range)))
             return 0
     raise ConfigError(f"no vehicle with id {args.vehicle}")
 
@@ -136,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="master seed (default: the preset/base scenario seed)",
     )
-    p_sweep.add_argument("--mac", choices=("l3", "csma"), help="MAC mode (default: l3)")
+    p_sweep.add_argument(
+        "--mac", choices=("l3", "csma"), help="MAC mode (default: the base scenario's mac_mode)"
+    )
     p_sweep.add_argument("--scenario", default=None, help="base scenario for sweeps")
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)

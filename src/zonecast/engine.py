@@ -146,11 +146,12 @@ _DRAWS_PER_ATTEMPT = 20_000
 # Candidate (x, y) pairs per rng call: 2 KB of doubles.
 _DRAW_BLOCK = 128
 
-# The largest least distance among n = 2..9 points in a unit square: the
+# The largest least distance among n = 3..9 points in a unit square: the
 # solved cases of spreading points in a square (Schaer, Meir, Graham; 1965).
+# Two points spread to the diagonal, which _place_vehicles checks first.
 _SPREAD = (
-    math.sqrt(2), math.sqrt(6) - math.sqrt(2), 1.0, math.sqrt(2) / 2,
-    math.sqrt(13) / 6, 4 - 2 * math.sqrt(3), (math.sqrt(6) - math.sqrt(2)) / 2, 0.5,
+    math.sqrt(6) - math.sqrt(2), 1.0, math.sqrt(2) / 2, math.sqrt(13) / 6,
+    4 - 2 * math.sqrt(3), (math.sqrt(6) - math.sqrt(2)) / 2, 0.5,
 )
 
 
@@ -185,10 +186,10 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
                 f"placement.min_separation {p.min_separation} m exceeds the "
                 f"diagonal of {(x0, y0, x1, y1)}; no two vehicles fit"
             )
-        if p.count <= len(_SPREAD) + 1:
+        if 3 <= p.count <= len(_SPREAD) + 2:
             # The area fits in a square on its longer side. The slack keeps
             # float rounding from rejecting a layout at the optimum.
-            spread = _SPREAD[p.count - 2] * max(x1 - x0, y1 - y0) * (1 + 1e-9)
+            spread = _SPREAD[p.count - 3] * max(x1 - x0, y1 - y0) * (1 + 1e-9)
             if s > spread:
                 raise ConfigError(
                     f"placement.min_separation {s} m exceeds {spread:.6g} m, the "

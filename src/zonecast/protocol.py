@@ -1,4 +1,6 @@
-"""Per-vehicle state machine for the slotted matrix-sharing protocol.
+"""Per-vehicle state machine for the slotted matrix-sharing protocol. These
+are the engine's steps, not ``zonecast`` exports: callers run scenarios with
+``run`` and read a vehicle's perceived matrix with ``perceive``.
 
 A vehicle transmits in a slot exactly when its matrix changed in the previous
 slot (or it was designated an initiator for slot 1). Deliveries are merged
@@ -56,7 +58,6 @@ class VehicleState:
     ``RunMetrics.final_matrix`` is a copy."""
 
     id: int
-    position: Position
     matrix: SensingMatrix
     pending_tx: bool
     tx_slots: int = 0
@@ -80,7 +81,7 @@ def init_vehicle(
     UNCERTAIN cell (such vehicles initiate the exchange)."""
     zone = locate_zone(pos, grid)
     matrix = perceive(vid, pos, world, zone, grid, sensing_range)
-    return VehicleState(vid, pos, matrix, pending_tx=has_uncertain(matrix))
+    return VehicleState(vid, matrix, pending_tx=has_uncertain(matrix))
 
 
 def on_slot_begin(v: VehicleState) -> Optional[Packet]:

@@ -27,13 +27,13 @@ from zonecast import (
     bundled_scenario,
     decode,
     encode,
-    init_vehicle,
     load_scenario,
     perceive,
     run,
     sweep,
     sweep_csv,
 )
+from zonecast.protocol import init_vehicle
 
 OUT = int(BlockState.OUT_OF_SENSING)
 UNC = int(BlockState.UNCERTAIN)

@@ -13,9 +13,8 @@ from zonecast import (
     Placement,
     ScenarioConfig,
     run,
-    run_baseline,
 )
-from zonecast.engine import _backoffs
+from zonecast.engine import _backoffs, run_baseline
 
 ROUND_RE = re.compile(r"^round \d+ \| tx (-|\d+(,\d+)*) \| .+$")
 

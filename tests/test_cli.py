@@ -226,6 +226,19 @@ def test_sweep_counts_mode(tmp_path, capsys):
     assert (rerun / "sweep.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
 
 
+def test_sweep_without_mac_runs_the_base_scenarios_mac(tmp_path):
+    # Vehicle 1 starts an exchange, so the two MACs write different rows.
+    path = tmp_path / "csma.scenario"
+    save_scenario(ScenarioConfig(initiators=(1,), mac_mode="csma", seed=3), path)
+    tables = {}
+    for mac in ([], ["--mac", "csma"], ["--mac", "l3"]):
+        out = tmp_path / ("-".join(mac) or "default")
+        argv = ["sweep", "--scenario", str(path), "--counts", "6", "--trials", "2"]
+        assert main(argv + mac + ["--out", str(out)]) in (0, 2)
+        tables[tuple(mac)] = (out / "sweep.csv").read_text()
+    assert tables[()] == tables[("--mac", "csma")] != tables[("--mac", "l3")]
+
+
 def test_sweep_preset_writes_per_mac_files(tmp_path):
     code = main(
         ["sweep", "--preset", "paper-fig8", "--trials", "1", "--out", str(tmp_path)]

@@ -14,12 +14,14 @@ from zonecast import (
     SensingMatrix,
     ZoneIndex,
     encode,
+)
+from zonecast.protocol import (
+    VehicleState,
     init_vehicle,
     is_globally_converged,
     on_delivery,
     on_slot_begin,
 )
-from zonecast.protocol import VehicleState
 
 OUT = int(BlockState.OUT_OF_SENSING)
 UNC = int(BlockState.UNCERTAIN)
@@ -34,8 +36,8 @@ def mat(rows) -> SensingMatrix:
     return SensingMatrix(Z, np.array(rows, dtype=np.uint8))
 
 
-def state(rows, pending=False, vid=1, pos=(2.0, 2.0)) -> VehicleState:
-    return VehicleState(vid, pos, mat(rows), pending_tx=pending)
+def state(rows, pending=False, vid=1) -> VehicleState:
+    return VehicleState(vid, mat(rows), pending_tx=pending)
 
 
 def raise_if_called(*args):
@@ -222,7 +224,7 @@ def test_convergence_fails_on_cell_difference():
 def test_convergence_fails_on_zone_mismatch():
     a = state([[FREE, FREE], [FREE, FREE]], vid=1)
     other = SensingMatrix(ZoneIndex(1, 0), np.full((2, 2), FREE, np.uint8))
-    b = VehicleState(2, (12.0, 2.0), other, pending_tx=False)
+    b = VehicleState(2, other, pending_tx=False)
     assert not is_globally_converged([a, b])
 
 

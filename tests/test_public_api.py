@@ -25,7 +25,6 @@ PUBLIC_NAMES = {
     "ScenarioConfig",
     "build_world",
     "run",
-    "run_baseline",
     "sweep",
     "sweep_csv",
     # grid
@@ -35,11 +34,6 @@ PUBLIC_NAMES = {
     "locate_zone",
     # presets
     "PRESETS",
-    # protocol
-    "init_vehicle",
-    "is_globally_converged",
-    "on_delivery",
-    "on_slot_begin",
     # scenario
     "bundled_scenario",
     "load_scenario",
@@ -68,7 +62,7 @@ def _public():
 def test_public_names_are_pinned():
     public = _public()
     assert public == PUBLIC_NAMES
-    assert len(public) == 38
+    assert len(public) == 33
 
 
 def test_readme_documents_every_public_name():

@@ -2,8 +2,9 @@
 shared by two MACs, and seeded sweeps.
 
 A run is a sequence of barrier-phased slots. Each MAC is a generator that
-yields, per slot, who sent, what every vehicle heard and the latency so
-far; the slot loop applies the deliveries and writes the trace line. The
+yields, per slot, who sent, what each vehicle that heard something heard
+and the latency so far; the slot loop applies the deliveries and records
+the slot, which ``RunMetrics.trace`` renders on first read. The
 slotted MAC resolves synchronized slots on the
 capture/constructive-interference channel; the CSMA baseline contends with
 random backoff and carrier sense. The run ends at the first silent slot —
@@ -20,16 +21,17 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import partial
+from struct import pack
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .channel import (
-    COLLISION,
     DELIVERED,
+    SILENCE,
     ChannelConfig,
     LinkTable,
-    Outcome,
     Packet,
     link_table,
     resolve_slot,
@@ -138,7 +140,19 @@ class RunMetrics:
     tx_slots: dict[int, int]
     rx_slots: dict[int, int]
     final_matrix: SensingMatrix  # the first listed vehicle's, converged or not
-    trace: list[str] = field(default_factory=list)
+    _trace: list[str] | Callable = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def trace(self) -> list[str]:
+        """One line per slot (``round`` lines for CSMA), rendered on first read and kept."""
+        if callable(self._trace):
+            self._trace = list(self._trace())
+        return self._trace
+
+    def __eq__(self, other: object) -> bool:  # as generated, with trace a field
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return dict(vars(self), _trace=self.trace) == dict(vars(other), _trace=other.trace)
 
 
 # Points drawn per placement attempt; a larger count can never be placed.
@@ -210,11 +224,12 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
                 )
     rng = np.random.default_rng([cfg.seed, 0x9E3779B9])
     # One stream of candidates, read in blocks and continued across attempts:
-    # each row of uniform((x0, y0), (x1, y1)) holds the doubles of the scalar
-    # pair uniform(x0, x1), uniform(y0, y1), in the same order. iter(f, None)
+    # each row of lo + span * random() holds the doubles of the scalar pair
+    # uniform(x0, x1), uniform(y0, y1), in the same order. iter(f, None)
     # calls f for ever; chaining in C beats a generator by 10-15% here.
+    lo, span = np.array((x0, y0)), np.array((x1 - x0, y1 - y0))
     draws = itertools.chain.from_iterable(
-        iter(lambda: rng.uniform((x0, y0), (x1, y1), (_DRAW_BLOCK, 2)).tolist(), None)
+        iter(lambda: (lo + span * rng.random((_DRAW_BLOCK, 2))).tolist(), None)
     )
     # A candidate's gap decides only up to this reach, and each point within it lies in
     # the candidate's 3 x 3 squares (grid._square), which ``near`` lists it in.
@@ -282,16 +297,16 @@ def build_world(
 
 
 # A MAC is a generator function of the run's config, vehicles and link table.
-# Per slot it yields the packets sent, what each listed station heard,
-# keyed by id in trace order, and the run's latency so far: the MAC decides,
-# and _simulate delivers and writes the trace.
-Slot = tuple[list[Packet], dict[int, Outcome], float]
+# Per slot it yields the senders' packets by station k, in send order; the
+# stations that heard something and the sender each decoded, or len(states)
+# for a collision; and the latency so far. The MAC decides; _simulate delivers.
+Slot = tuple[dict[int, Packet], list[int], list[int], float]
 Mac = Callable[[ScenarioConfig, list[VehicleState], LinkTable], Iterator[Slot]]
 
 
-def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
+def _simulate(cfg: ScenarioConfig, mac: Mac, word: str, every: bool) -> RunMetrics:
     """The slot loop both MACs share: it pulls the MAC's slots, applies their
-    deliveries and writes each one's trace line, headed ``word``. A slot is
+    deliveries and records each one for the trace (_render). A slot is
     silent only when nobody is armed and then arms nobody, so the first one
     ends the run: converged if every matrix is identical, else stalled."""
     _, vehicles, world = build_world(cfg)
@@ -305,25 +320,22 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
             s.pending_tx = s.id in chosen
     table = link_table(vehicles, cfg.channel)
     slots = mac(cfg, states, table)
-    max_slots = cfg.max_slots or min(10 * len(states), MAX_SLOTS_CAP)
-    trace: list[str] = []
+    n = len(states)
+    max_slots = cfg.max_slots or min(10 * n, MAX_SLOTS_CAP)
+    code = "H" if n < 1 << 16 else "I"  # holds every station index and n
+    record: list[bytes] = []
     converged = is_globally_converged(states)
     slot = last_tx = 0
     latency = 0.0
     while not converged and slot < max_slots:
         slot += 1
-        txs, outcomes, latency = next(slots)
-        entries = []
-        for rid, o in outcomes.items():
-            if o.kind == DELIVERED:
-                on_delivery(states[table.index[rid]], o.packet)
-                entries.append(f"{rid}:D{o.packet.sender}")
-            else:
-                entries.append(f"{rid}:C" if o.kind == COLLISION else f"{rid}:S")
-        senders = ",".join(str(t.sender) for t in txs) or "-"
-        heard = " ".join(entries) or ("-" if txs else "idle")
-        trace.append(f"{word} {slot} | tx {senders} | {heard}")
-        if not txs:
+        sent, heard, got, latency = next(slots)
+        for k, j in zip(heard, got):
+            if j < n:
+                on_delivery(states[k], sent[j])
+        size = 1 + len(sent) + 2 * len(heard)
+        record.append(pack(f"{size}{code}", len(sent), *sent, *heard, *got))
+        if not sent:
             converged = is_globally_converged(states)
             break
         last_tx = slot
@@ -335,16 +347,49 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str) -> RunMetrics:
         tx_slots={s.id: s.tx_slots for s in states},
         rx_slots={s.id: s.rx_slots for s in states},
         final_matrix=states[0].matrix.copy(),
-        trace=trace,
+        _trace=partial(_render, word, [s.id for s in states], every, code, record),
     )
+
+
+def _render(
+    word: str, ids: list[int], every: bool, code: str, record: list[bytes]
+) -> Iterator[str]:
+    """Trace lines headed ``word`` from a run's ``record``, which packs per
+    slot, as ``code`` integers, a Slot's senders (count first), stations that
+    heard something and what each decoded; station k has id ``ids[k]``. A
+    line lists the senders, then every station by ascending id if ``every``
+    is set, silence as ``S``, else the stations that heard something."""
+    n, names = len(ids), [str(i) for i in ids]
+    decoded, collided = [f"{i}:D" for i in names], [f"{i}:C" for i in names]
+    order = sorted(range(n), key=ids.__getitem__)
+    rank = {k: r for r, k in enumerate(order)}
+    silent = [f"{names[k]}:S" for k in order]
+    for slot, packed in enumerate(record, 1):
+        rec = memoryview(packed).cast(code)
+        cut = rec[0] + 1
+        half = (cut + len(rec)) // 2
+        heard, got = rec[cut:half], rec[half:]
+        if every:
+            entries = silent.copy()
+            for k, j in zip(heard, got):
+                entries[rank[k]] = decoded[k] + names[j] if j < n else collided[k]
+        else:
+            entries = [decoded[k] + names[j] if j < n else collided[k] for k, j in zip(heard, got)]
+        senders = ",".join([names[k] for k in rec[1:cut]]) or "-"
+        body = " ".join(entries) or ("-" if cut > 1 else "idle")
+        yield f"{word} {slot} | tx {senders} | {body}"
 
 
 def _slotted(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Iterator[Slot]:
     """Synchronized slots: every armed vehicle sends and resolve_slot decides
     what each station of the table hears. Latency is slot * slot_duration_ms."""
+    n, index = len(states), table.index
     for slot in itertools.count(1):
-        txs = [on_slot_begin(s) for s in states if s.pending_tx]
-        yield txs, resolve_slot(txs, table), slot * cfg.slot_duration_ms
+        sent = {k: on_slot_begin(s) for k, s in enumerate(states) if s.pending_tx}
+        outcomes = resolve_slot(list(sent.values()), table)
+        heard = [(index[sid], o) for sid, o in outcomes.items() if o.kind != SILENCE]
+        got = [index[o.packet.sender] if o.kind == DELIVERED else n for _, o in heard]
+        yield sent, [k for k, _ in heard], got, slot * cfg.slot_duration_ms
 
 
 def _backoffs(rng: np.random.Generator, cws: list[int]) -> list[int]:
@@ -358,39 +403,40 @@ def _backoffs(rng: np.random.Generator, cws: list[int]) -> list[int]:
 def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Iterator[Slot]:
     """Contention rounds; see run_baseline. Station k is states[k], its
     neighbours table.links[k], linked both ways, and got[k] what it hears in
-    the round; a round lists, in states order, the stations whose got is set."""
+    the round, a sole sender or len(states) for a collision; a round lists,
+    in states order, the marked stations whose got is set."""
     rng = np.random.default_rng([cfg.seed, 0x5DEECE66])
-    cw = [cfg.csma.cw_min] * len(states)
+    n = len(states)
+    cw = [cfg.csma.cw_min] * n
     micro_ms = cfg.csma.micro_slot_us / 1000.0
-    collision = Outcome(COLLISION)
     elapsed = 0.0
     while True:
         armed = [k for k, s in enumerate(states) if s.pending_tx]
         # One draw per armed station, in states order; contend by (draw, id).
         draws = _backoffs(rng, [cw[k] for k in armed])
         order = sorted(zip(draws, [states[k].id for k in armed], armed))
-        txs = []
-        got: list[Optional[Outcome]] = [None] * len(states)
+        sent: dict[int, Packet] = {}
+        marked: list[int] = []
+        got: list[Optional[int]] = [None] * n
         for _, level in itertools.groupby(order, key=lambda o: o[0]):
             # Carrier sense: a contender that hears a sender of a lower draw
             # defers. The level marks its neighbours once all of it sensed.
             senders = [k for _, _, k in level if got[k] is None]
             for k in senders:
-                pkt = on_slot_begin(states[k])
-                txs.append(pkt)
-                delivered = Outcome(DELIVERED, pkt)
+                sent[k] = on_slot_begin(states[k])
+                marked += table.links[k]
                 for r in table.links[k]:
-                    got[r] = delivered if got[r] is None else collision
+                    got[r] = k if got[r] is None else n
             # A later contender in a sender's range deferred: only its level reaches it.
             for k in senders:
                 collided = got[k] is not None
                 cw[k] = min(cw[k] * 2, cfg.csma.cw_max) if collided else cfg.csma.cw_min
                 states[k].pending_tx = collided  # retry after a collision
                 got[k] = None  # half-duplex: a sender hears nothing
-        outcomes = {s.id: o for s, o in zip(states, got) if o is not None}
+        heard = [k for k in sorted(set(marked)) if got[k] is not None]
         # The first sender's draw; a round with nobody armed lasts one slot.
         elapsed += cfg.slot_duration_ms + (order[0][0] * micro_ms if order else 0)
-        yield txs, outcomes, elapsed
+        yield sent, heard, [got[k] for k in heard], elapsed
 
 
 def run(cfg: ScenarioConfig) -> RunMetrics:
@@ -402,7 +448,7 @@ def run(cfg: ScenarioConfig) -> RunMetrics:
     """
     if cfg.mac_mode == "csma":
         return run_baseline(cfg)
-    return _simulate(cfg, _slotted, "slot")
+    return _simulate(cfg, _slotted, "slot", every=True)
 
 
 def run_baseline(cfg: ScenarioConfig) -> RunMetrics:
@@ -414,7 +460,7 @@ def run_baseline(cfg: ScenarioConfig) -> RunMetrics:
     double the collider's CW. A receiver decodes only a sole in-range
     sender. A round costs slot_duration_ms plus the winning backoff.
     """
-    return _simulate(cfg, _csma, "round")
+    return _simulate(cfg, _csma, "round", every=False)
 
 
 SWEEP_COLUMNS = [

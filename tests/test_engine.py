@@ -125,6 +125,49 @@ def test_no_initiators_means_instant_convergence_when_views_align():
     assert m.trace == []
 
 
+def test_traces_name_ids_in_any_order_of_any_sign_and_size():
+    # Stations listed out of id order, with a negative id and one past 64
+    # bits: l3 lines list every vehicle by ascending id, CSMA lines only
+    # those that heard something, in listed order.
+    b = 2**70
+    cfg = ScenarioConfig(
+        vehicles=((3, (40.0, 50.0)), (-5, (55.0, 50.0)), (b, (70.0, 50.0))),
+        vehicle_radius=0.0,
+        initiators=(3,),
+    )
+    assert run(cfg).trace == [
+        f"slot 1 | tx 3 | -5:D3 3:S {b}:D3",
+        f"slot 2 | tx -5,{b} | -5:S 3:D-5 {b}:S",
+        f"slot 3 | tx 3 | -5:D3 3:S {b}:D3",
+        f"slot 4 | tx {b} | -5:D{b} 3:D{b} {b}:S",
+        f"slot 5 | tx 3,-5 | -5:S 3:S {b}:D-5",
+        f"slot 6 | tx - | -5:S 3:S {b}:S",
+    ]
+    assert run(replace(cfg, mac_mode="csma")).trace == [
+        f"round 1 | tx 3 | -5:D3 {b}:D3",
+        f"round 2 | tx {b} | 3:D{b} -5:D{b}",
+        f"round 3 | tx 3 | -5:D3 {b}:D3",
+        f"round 4 | tx -5 | 3:D-5 {b}:D-5",
+        f"round 5 | tx 3 | -5:D3 {b}:D3",
+        f"round 6 | tx {b} | 3:D{b} -5:D{b}",
+        "round 7 | tx - | idle",
+    ]
+
+
+def test_trace_is_rendered_once_and_kept():
+    m = run(load_scenario(LINE3))
+    assert m.trace is m.trace
+    m.trace.append("slot 7 | tx - | 1:S 2:S 3:S")
+    assert m.trace[-1] == "slot 7 | tx - | 1:S 2:S 3:S"
+    # Equality still covers the trace, read or not.
+    again, other = run(load_scenario(LINE3)), run(load_scenario(LINE3))
+    assert again == other
+    assert m != other
+    m.trace.pop()
+    assert m == other
+    assert "trace" not in repr(other) and "partial" not in repr(other)
+
+
 # ---------------------------------------------------------------------------
 # Metric invariants
 

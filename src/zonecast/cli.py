@@ -54,7 +54,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if args.trace:
         lines["trace.txt"] = m.trace
-    _write(args.out, {name: "\n".join(rows) + "\n" for name, rows in lines.items()})
+    _write(args.out, {name: "".join(row + "\n" for row in rows) for name, rows in lines.items()})
     print(
         f"converged={m.converged} last_tx_slot={m.last_tx_slot} "
         f"quiescent_slot={m.quiescent_slot} latency_ms={latency}"

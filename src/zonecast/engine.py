@@ -82,8 +82,8 @@ class CsmaConfig:
             raise ConfigError("cw_min must be >= 1")
         if not self.cw_min <= _int(self.cw_max, "cw_max") <= 2**63:  # backoffs are drawn as int64
             raise ConfigError(f"cw_max must be in [cw_min, 2**63], got {self.cw_max}")
-        if not self.micro_slot_us >= 0:
-            raise ConfigError("micro_slot_us must be non-negative")
+        if not 0 <= self.micro_slot_us < math.inf:
+            raise ConfigError("micro_slot_us must be non-negative and finite")
 
 
 # ScenarioConfig's vehicle and object records. Each compares and hashes equal
@@ -115,8 +115,8 @@ class ScenarioConfig:
     csma: CsmaConfig = CsmaConfig()
 
     def __post_init__(self) -> None:
-        if not self.slot_duration_ms > 0:
-            raise ConfigError("slot_duration_ms must be positive")
+        if not 0 < self.slot_duration_ms < math.inf:
+            raise ConfigError("slot_duration_ms must be positive and finite")
         if not self.sensing_range > 0:
             raise ConfigError("sensing_range must be positive")
         if not self.vehicle_radius >= 0:
@@ -309,8 +309,8 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str, every: bool) -> RunMetri
     deliveries and records each one for the trace (_render). A slot is
     silent only when nobody is armed and then arms nobody, so the first one
     ends the run: converged if every matrix is identical, else stalled."""
-    _, vehicles, world = build_world(cfg)
-    states = [init_vehicle(vid, pos, world, cfg.grid, cfg.sensing_range) for vid, pos in vehicles]
+    zone, vehicles, world = build_world(cfg)
+    states = [init_vehicle(i, p, world, zone, cfg.grid, cfg.sensing_range) for i, p in vehicles]
     merges: Merges = {}  # one merge memo for the run's vehicles
     for s in states:
         s.merges = merges
@@ -346,7 +346,7 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str, every: bool) -> RunMetri
         latency_ms=latency,
         tx_slots={s.id: s.tx_slots for s in states},
         rx_slots={s.id: s.rx_slots for s in states},
-        final_matrix=states[0].matrix.copy(),
+        final_matrix=states[0].matrix,
         _trace=partial(_render, word, [s.id for s in states], every, code, record),
     )
 

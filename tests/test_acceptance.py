@@ -206,7 +206,7 @@ def test_line_scenario_convergence_and_blind_spot_resolution():
     # Vehicle 1 starts with UNCERTAIN cells behind vehicle 2; after the
     # exchange every one of them is resolved to NO_OBJECT.
     zone, vehicles, world = build_world(cfg)
-    v1 = init_vehicle(1, vehicles[0][1], world, cfg.grid, cfg.sensing_range)
+    v1 = init_vehicle(1, vehicles[0][1], world, zone, cfg.grid, cfg.sensing_range)
     blind = v1.matrix.cells == UNC
     assert blind.any()
     assert np.all(metrics.final_matrix.cells[blind] == FREE)

@@ -45,6 +45,16 @@ def test_run_trace_flag_writes_trace(tmp_path):
     assert len(trace) == 6
 
 
+def test_run_that_ends_at_slot_zero_writes_an_empty_trace(tmp_path):
+    # A lone vehicle has nothing to ask about, so its run ends before slot 1.
+    scenario = tmp_path / "lone.yaml"
+    save_scenario(ScenarioConfig(vehicles=((1, (50.0, 50.0)),)), scenario)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out), "--trace"]) == 0
+    assert (out / "metrics.csv").read_text().endswith(",True,0,0,0.0\n")
+    assert (out / "trace.txt").read_bytes() == b""
+
+
 def test_run_artifacts_are_byte_identical_across_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -238,8 +238,8 @@ def test_max_slots_truncates_run():
 
 
 def test_final_matrix_is_a_copy_of_no_state(monkeypatch):
-    # The run's merge memo shares merged matrices between its vehicles; the
-    # reported matrix must be none of them.
+    # The run's merge memo hands one merge to many vehicles. A write into a
+    # state's matrix, or into the reported one, must reach no state's bytes.
     states, init = [], engine.init_vehicle
 
     def kept(*args):
@@ -252,14 +252,16 @@ def test_final_matrix_is_a_copy_of_no_state(monkeypatch):
         patch.setattr(engine, "init_vehicle", kept)
         m = run(cfg)
     assert len(states) == 40
-    assert len({id(s.matrix) for s in states}) < 40  # the memo shared some
-    assert not any(np.shares_memory(m.final_matrix.cells, s.matrix.cells) for s in states)
+    payloads = [s.payload for s in states]
+    states[0].matrix.cells[0, 0] ^= 1
+    assert [s.payload for s in states] == [sensing.encode(s.matrix) for s in states] == payloads
 
     def digest(r):
         return r.trace, r.tx_slots, r.rx_slots, r.final_matrix.cells.tobytes()
 
     before = digest(m)
     m.final_matrix.cells[...] = 0
+    assert [s.payload for s in states] == payloads
     assert digest(run(cfg)) == before
 
 
@@ -438,19 +440,22 @@ def _placed(**placement):
     "make, match",
     [
         (lambda: ScenarioConfig(slot_duration_ms=math.nan), "slot_duration_ms"),
+        (lambda: ScenarioConfig(slot_duration_ms=math.inf), "slot_duration_ms"),
         (lambda: ScenarioConfig(sensing_range=math.nan), "sensing_range"),
         (lambda: ScenarioConfig(vehicle_radius=math.nan), "vehicle_radius"),
         (lambda: ScenarioConfig(max_slots=math.nan), "max_slots"),
         (lambda: ScenarioConfig(objects=(((20.0, 20.0), math.nan),)), "radii"),
         (lambda: CsmaConfig(micro_slot_us=math.nan), "micro_slot_us"),
+        (lambda: CsmaConfig(micro_slot_us=math.inf), "micro_slot_us"),
         (lambda: _placed(count=5, min_separation=math.nan), "min_separation"),
         (lambda: _placed(count=2, area=(0.0, 0.0, math.nan, 10.0)), "area"),
         (lambda: _placed(count=2, area=(0.0, 0.0, math.inf, 10.0)), "area"),
         (lambda: _placed(count=2, area=(0.0, -math.inf, 10.0, 10.0)), "area"),
     ],
     ids=[
-        "slot_duration_ms", "sensing_range", "vehicle_radius", "max_slots", "object_radius",
-        "micro_slot_us", "min_separation", "nan_area", "inf_area", "minus_inf_area",
+        "slot_duration_ms", "inf_slot_duration_ms", "sensing_range", "vehicle_radius",
+        "max_slots", "object_radius", "micro_slot_us", "inf_micro_slot_us", "min_separation",
+        "nan_area", "inf_area", "minus_inf_area",
     ],
 )
 def test_non_finite_bounds_are_config_errors(make, match):

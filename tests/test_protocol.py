@@ -37,7 +37,8 @@ def mat(rows) -> SensingMatrix:
 
 
 def state(rows, pending=False, vid=1) -> VehicleState:
-    return VehicleState(vid, mat(rows), pending_tx=pending)
+    m = mat(rows)
+    return VehicleState(vid, m.zone, m.shape, encode(m), pending_tx=pending)
 
 
 def raise_if_called(*args):
@@ -50,7 +51,7 @@ def raise_if_called(*args):
 
 def test_init_vehicle_without_occlusion_is_idle():
     world = GroundTruth(vehicles=((1, (2.5, 2.5), 0.0),))
-    v = init_vehicle(1, (2.5, 2.5), world, G2, sensing_range=100.0)
+    v = init_vehicle(1, (2.5, 2.5), world, Z, G2, sensing_range=100.0)
     assert v.id == 1
     assert v.matrix.zone == Z
     assert v.matrix.cells.shape == (2, 2)
@@ -66,7 +67,7 @@ def test_init_vehicle_with_uncertain_cell_is_armed():
         objects=(((7.5, 7.5), 1.0),),
         vehicles=((1, (7.5, 2.5), 0.0),),
     )
-    v = init_vehicle(1, (7.5, 2.5), world, g, sensing_range=100.0)
+    v = init_vehicle(1, (7.5, 2.5), world, Z, g, sensing_range=100.0)
     assert UNC in v.matrix.cells
     assert v.pending_tx
 
@@ -75,7 +76,7 @@ def test_init_vehicle_limited_range_does_not_arm():
     # OUT_OF_SENSING cells alone (no occlusion) do not trigger transmission.
     g = GridConfig(zone_side=15.0, block_side=5.0)
     world = GroundTruth(vehicles=((1, (7.5, 2.5), 0.0),))
-    v = init_vehicle(1, (7.5, 2.5), world, g, sensing_range=6.0)
+    v = init_vehicle(1, (7.5, 2.5), world, Z, g, sensing_range=6.0)
     assert OUT in v.matrix.cells
     assert not v.pending_tx
 
@@ -168,7 +169,7 @@ def test_byte_equal_frame_moves_only_rx_slots(monkeypatch):
     monkeypatch.setattr(protocol, "aggregate", raise_if_called)
     on_delivery(v, Packet(2, Z, encode(mat([[FREE, OBJ], [OUT, UNC]]))))
     assert v.rx_slots == 1
-    assert v.matrix is matrix and v.payload is payload
+    assert v.payload is payload and v.matrix == matrix
     assert v.pending_tx and v.tx_slots == 0 and v.protocol_errors == 0
 
 
@@ -224,7 +225,7 @@ def test_convergence_fails_on_cell_difference():
 def test_convergence_fails_on_zone_mismatch():
     a = state([[FREE, FREE], [FREE, FREE]], vid=1)
     other = SensingMatrix(ZoneIndex(1, 0), np.full((2, 2), FREE, np.uint8))
-    b = VehicleState(2, other, pending_tx=False)
+    b = VehicleState(2, other.zone, other.shape, encode(other), pending_tx=False)
     assert not is_globally_converged([a, b])
 
 

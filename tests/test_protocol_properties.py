@@ -164,7 +164,7 @@ def replay(fleet, ops, shared_memo: bool) -> None:
     after each step. A "broadcast" hands one vehicle's bytes to every other
     vehicle, each under its own zone stamp."""
     states = [
-        VehicleState(vid, SensingMatrix(zone, cells.copy()), pending_tx=p)
+        VehicleState(vid, zone, cells.shape, encode(SensingMatrix(zone, cells)), pending_tx=p)
         for vid, zone, cells, p in fleet
     ]
     if shared_memo:
@@ -212,7 +212,7 @@ def test_memo_keeps_zones_and_shapes_apart():
     # under another zone or shape.
     kinds = [(zone, shape) for zone in (Z, OTHER_ZONE) for shape in ((2, 2), (1, 4))]
     fleet = [
-        VehicleState(vid, SensingMatrix(zone, np.zeros(shape, np.uint8)), False)
+        VehicleState(vid, zone, shape, b"\x00", False)
         for vid, (zone, shape) in enumerate(kinds * 2)
     ]
     for v in fleet:

@@ -29,8 +29,10 @@ def show(title, senders, receiver=(0.0, 0.0)):
     transmits and vehicle 99 at ``receiver`` listens."""
     table = link_table([(99, receiver)] + [(vid, pos) for vid, pos, _ in senders], cfg)
     packets = [Packet(vid, Z, payload) for vid, _, payload in senders]
-    out = resolve_slot(packets, table)[99]
-    if out.packet is not None:
+    out = resolve_slot(packets, table).get(table.index[99])
+    if out is None:  # a station that heard nothing has no outcome
+        print(f"{title}: silence")
+    elif out.packet is not None:
         print(f"{title}: {out.kind} (frame from vehicle {out.packet.sender})")
     else:
         print(f"{title}: {out.kind}")
@@ -64,7 +66,7 @@ show(
     [(1, (25.0, 0.0), b"\xaa"), (2, (-25.0, 0.0), b"\xaa")],
 )
 
-# A sender never hears its own slot: half-duplex radios report silence.
+# A sender never hears its own slot: half-duplex, it gets no outcome.
 table = link_table([(1, (10.0, 0.0))], cfg)
-out = resolve_slot([Packet(1, Z, b"\xaa")], table)[1]
-print(f"the sender's own slot   : {out.kind}")
+heard = resolve_slot([Packet(1, Z, b"\xaa")], table)
+print(f"the sender's own slot   : {heard.get(table.index[1], 'silence')}")

@@ -8,7 +8,6 @@ constructive interference until every vehicle holds the identical matrix.
 from .channel import (
     COLLISION,
     DELIVERED,
-    SILENCE,
     ChannelConfig,
     Packet,
     link_table,

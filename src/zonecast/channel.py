@@ -5,7 +5,9 @@ All transmissions of a slot start simultaneously (the protocol is slot
 synchronous), so the only questions the channel answers are which packets a
 listener can decode and whether the strongest captures: whether the others'
 linear power ratios to it, ``10**((p - strongest)/10)``, added left to right
-in rank order, sum to at most ``10**(-capture_threshold/10)``.
+in rank order, sum to at most ``10**(-capture_threshold/10)``. A slot's
+result names only the listeners that heard a frame or a collision, by their
+position k in the link table.
 
 Stations do not move during a run, so the link geometry is static: a
 LinkTable lists each station's neighbours within comm_range with their
@@ -42,7 +44,6 @@ from .grid import ConfigError, Position, ZoneIndex, _square, _square_side
 
 DELIVERED = "delivered"
 COLLISION = "collision"
-SILENCE = "silence"
 
 
 class DegenerateGeometryError(ValueError):
@@ -87,8 +88,8 @@ class Packet:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Per-receiver slot result: DELIVERED (with the packet), COLLISION, or
-    SILENCE (nothing decodable in range, or the receiver was transmitting)."""
+    """What a listener got in a slot: DELIVERED, with the packet, or a
+    COLLISION. A station that heard nothing, or sent, has no outcome."""
 
     kind: str
     packet: Optional[Packet] = None
@@ -142,17 +143,6 @@ class LinkTable:
         return links
 
     @cached_property
-    def _ids(self) -> list[int]:
-        """Station ids by position k."""
-        return [sid for sid, _ in self.stations]
-
-    @cached_property
-    def _silence(self) -> dict[int, Outcome]:
-        """Silence for every station, keyed by ascending id: a slot's outcomes
-        start as a copy."""
-        return dict.fromkeys(sorted(self.index), _SILENT)
-
-    @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every link entry as (listener k, neighbour j, power) arrays. Each
         listener's entries form one contiguous row, in ascending k, ranked by
@@ -182,7 +172,6 @@ def link_table(stations: list[tuple[int, Position]], cfg: ChannelConfig) -> Link
     return LinkTable(index, tuple(stations), cfg)
 
 
-_SILENT = Outcome(SILENCE)
 _COLLIDED = Outcome(COLLISION)
 
 # A slot whose senders hold fewer link entries than this, in total, goes to
@@ -194,8 +183,8 @@ _DENSE_SLOT_LINKS = 256
 
 
 def resolve_slot(packets: list[Packet], table: LinkTable) -> dict[int, Outcome]:
-    """Decide what every station of ``table`` hears in one slot, keyed by id
-    in ascending order.
+    """Decide what the stations of ``table`` hear in one slot: an Outcome
+    for each station k that heard something, keyed by ascending k.
 
     Byte-identical packets form one constructively interfering group. A
     listener hears a group through its linked members, those within
@@ -207,8 +196,9 @@ def resolve_slot(packets: list[Packet], table: LinkTable) -> dict[int, Outcome]:
     to at most ``10**(-capture_threshold/10)`` for the table's ``cfg`` (see
     _captures); else the slot is a collision. No ratio exceeds 1 and an
     exact tie is 1.0 on any libm.
-    Senders are half-duplex and always hear silence. Raises InvalidSlotError
-    for a sender named twice or not a station of the table.
+    Senders are half-duplex and have no outcome, nor has a station with no
+    sender in range. Raises InvalidSlotError for a sender named twice or not
+    a station of the table.
     """
     senders = {pkt.sender for pkt in packets}
     if len(senders) != len(packets):
@@ -216,9 +206,8 @@ def resolve_slot(packets: list[Packet], table: LinkTable) -> dict[int, Outcome]:
     unknown = senders - table.index.keys()
     if unknown:
         raise InvalidSlotError(f"senders {sorted(unknown)} are not stations of the link table")
-    outcomes = dict(table._silence)
-    if not packets or len(packets) == len(outcomes):  # nobody sends or nobody listens
-        return outcomes
+    if len(packets) == len(table.index):  # nobody listens: read no links
+        return {}
 
     # Each sending station's group and what its listeners get if it wins,
     # by ascending sender id.
@@ -228,6 +217,7 @@ def resolve_slot(packets: list[Packet], table: LinkTable) -> dict[int, Outcome]:
         g = groups.setdefault((pkt.zone, pkt.payload), len(groups))
         sending[table.index[pkt.sender]] = (g, Outcome(DELIVERED, pkt))
     bound = 10.0 ** (-table.cfg.capture_threshold / 10.0)
+    outcomes: dict[int, Outcome] = {}
     if sum(len(table.links[j]) for j in sending) >= _DENSE_SLOT_LINKS:
         _dense(sending, len(groups), table, bound, outcomes)
         return outcomes
@@ -241,8 +231,7 @@ def resolve_slot(packets: list[Packet], table: LinkTable) -> dict[int, Outcome]:
             best = heard[k]
             if g not in best or p > best[g][0]:
                 best[g] = (p, won)
-    ids = table._ids
-    for k, got in heard.items():
+    for k, got in sorted(heard.items()):
         if k in sending:
             continue
         if len(got) == 1:
@@ -253,7 +242,7 @@ def resolve_slot(packets: list[Packet], table: LinkTable) -> dict[int, Outcome]:
             )
             if not _captures(strongest, [p for p, _ in others], bound):
                 won = _COLLIDED
-        outcomes[ids[k]] = won
+        outcomes[k] = won
     return outcomes
 
 
@@ -281,7 +270,8 @@ def _dense(
     bound: float,
     outcomes: dict[int, Outcome],
 ) -> None:
-    """Decide a slot over the table's ranked rows, into ``outcomes``.
+    """Decide a slot over the table's ranked rows, into ``outcomes`` by
+    ascending k.
 
     In each listener's row, the entries whose neighbour sends list the
     audible groups in rank order, and the first entry of a group is its
@@ -335,6 +325,5 @@ def _dense(
     for i in np.flatnonzero(close).tolist():
         strongest, *others = powers[starts[i] : ends[i]].tolist()
         wins[i] = _captures(strongest, others, bound)
-    ids = table._ids
     for k, j, won in zip(rows[starts].tolist(), nbr[heads[starts]].tolist(), wins):
-        outcomes[ids[k]] = sending[j][1] if won else _COLLIDED
+        outcomes[k] = sending[j][1] if won else _COLLIDED

@@ -29,7 +29,6 @@ import numpy as np
 
 from .channel import (
     DELIVERED,
-    SILENCE,
     ChannelConfig,
     LinkTable,
     Packet,
@@ -298,8 +297,9 @@ def build_world(
 
 # A MAC is a generator function of the run's config, vehicles and link table.
 # Per slot it yields the senders' packets by station k, in send order; the
-# stations that heard something and the sender each decoded, or len(states)
-# for a collision; and the latency so far. The MAC decides; _simulate delivers.
+# stations that heard something, by ascending k, and the sender each decoded,
+# or len(states) for a collision; and the latency so far. The MAC decides;
+# _simulate delivers.
 Slot = tuple[dict[int, Packet], list[int], list[int], float]
 Mac = Callable[[ScenarioConfig, list[VehicleState], LinkTable], Iterator[Slot]]
 
@@ -382,14 +382,13 @@ def _render(
 
 def _slotted(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Iterator[Slot]:
     """Synchronized slots: every armed vehicle sends and resolve_slot decides
-    what each station of the table hears. Latency is slot * slot_duration_ms."""
+    which stations hear what. Latency is slot * slot_duration_ms."""
     n, index = len(states), table.index
     for slot in itertools.count(1):
         sent = {k: on_slot_begin(s) for k, s in enumerate(states) if s.pending_tx}
         outcomes = resolve_slot(list(sent.values()), table)
-        heard = [(index[sid], o) for sid, o in outcomes.items() if o.kind != SILENCE]
-        got = [index[o.packet.sender] if o.kind == DELIVERED else n for _, o in heard]
-        yield sent, [k for k, _ in heard], got, slot * cfg.slot_duration_ms
+        got = [index[o.packet.sender] if o.kind == DELIVERED else n for o in outcomes.values()]
+        yield sent, list(outcomes), got, slot * cfg.slot_duration_ms
 
 
 def _backoffs(rng: np.random.Generator, cws: list[int]) -> list[int]:
@@ -401,10 +400,10 @@ def _backoffs(rng: np.random.Generator, cws: list[int]) -> list[int]:
 
 
 def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Iterator[Slot]:
-    """Contention rounds; see run_baseline. Station k is states[k], its
-    neighbours table.links[k], linked both ways, and got[k] what it hears in
-    the round, a sole sender or len(states) for a collision; a round lists,
-    in states order, the marked stations whose got is set."""
+    """Contention rounds; see run_baseline. Station k is states[k] and its
+    neighbours table.links[k], linked both ways. ``got`` maps each listener a
+    sender reached to what it hears in the round, a sole sender or
+    len(states) for a collision; a round lists them in states order."""
     rng = np.random.default_rng([cfg.seed, 0x5DEECE66])
     n = len(states)
     cw = [cfg.csma.cw_min] * n
@@ -416,24 +415,21 @@ def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> 
         draws = _backoffs(rng, [cw[k] for k in armed])
         order = sorted(zip(draws, [states[k].id for k in armed], armed))
         sent: dict[int, Packet] = {}
-        marked: list[int] = []
-        got: list[Optional[int]] = [None] * n
+        got: dict[int, int] = {}
         for _, level in itertools.groupby(order, key=lambda o: o[0]):
             # Carrier sense: a contender that hears a sender of a lower draw
             # defers. The level marks its neighbours once all of it sensed.
-            senders = [k for _, _, k in level if got[k] is None]
+            senders = [k for _, _, k in level if k not in got]
             for k in senders:
                 sent[k] = on_slot_begin(states[k])
-                marked += table.links[k]
                 for r in table.links[k]:
-                    got[r] = k if got[r] is None else n
+                    got[r] = n if r in got else k
             # A later contender in a sender's range deferred: only its level reaches it.
             for k in senders:
-                collided = got[k] is not None
+                collided = got.pop(k, None) is not None  # half-duplex: a sender hears nothing
                 cw[k] = min(cw[k] * 2, cfg.csma.cw_max) if collided else cfg.csma.cw_min
                 states[k].pending_tx = collided  # retry after a collision
-                got[k] = None  # half-duplex: a sender hears nothing
-        heard = [k for k in sorted(set(marked)) if got[k] is not None]
+        heard = sorted(got)
         # The first sender's draw; a round with nobody armed lasts one slot.
         elapsed += cfg.slot_duration_ms + (order[0][0] * micro_ms if order else 0)
         yield sent, heard, [got[k] for k in heard], elapsed

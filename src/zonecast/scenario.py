@@ -14,7 +14,8 @@ types it holds:
   cw_min, micro_slot_us >= 0; seed >= 0; object radii > 0; ...) becomes a
   ConfigError prefixed with its key path.
 
-Keys are written in field order; a saved file re-parses to an equal config.
+Keys are written in field order, and a numpy scalar as the plain value of
+its field's type; a saved file re-parses to an equal config.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import dataclasses
 import math
 from dataclasses import MISSING
 from importlib import resources
+from importlib.resources.abc import Traversable
 from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -120,6 +122,8 @@ def _write(tp: Any, value: Any) -> Any:
         if args[-1] is Ellipsis:
             args = args[:1] * len(value)
         return [_write(a, v) for a, v in zip(args, value)]
+    if type(value) not in _KINDS:  # a numpy scalar, which yaml cannot write
+        return tp(value)
     return value
 
 
@@ -133,8 +137,10 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioConfig:
     return _read_record(ScenarioConfig, {} if raw is None else raw, name, "")
 
 
-def load_scenario(path: Union[str, Path]) -> ScenarioConfig:
-    path = Path(path)
+def load_scenario(path: Union[str, Path, Traversable]) -> ScenarioConfig:
+    """Read a scenario file: a path, or a file that bundled_scenario returns."""
+    if not isinstance(path, Traversable):
+        path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -150,11 +156,13 @@ def save_scenario(cfg: ScenarioConfig, path: Union[str, Path]) -> None:
     Path(path).write_text(yaml.safe_dump(scenario_to_dict(cfg), sort_keys=False))
 
 
-def bundled_scenario(name: str) -> Path:
-    """Path of a scenario file shipped with the package (e.g. 'fig5_line3')."""
+def bundled_scenario(name: str) -> Traversable:
+    """A scenario file shipped with the package (e.g. 'fig5_line3'): a
+    pathlib.Path when the package lies on the file system, a zipfile.Path
+    when it is imported from a zip archive."""
     if not name.endswith(".scenario"):
         name += ".scenario"
-    path = Path(str(resources.files(__package__) / "scenarios" / name))
-    if not path.exists():
+    path = resources.files(__package__) / "scenarios" / name
+    if not path.is_file():
         raise ConfigError(f"no bundled scenario named {name!r}")
     return path

@@ -18,7 +18,6 @@ import pytest
 from zonecast import (
     COLLISION,
     DELIVERED,
-    SILENCE,
     ChannelConfig,
     Packet,
     ZoneIndex,
@@ -41,8 +40,12 @@ def pkt(sender, payload=b"\x01" * 100):
 
 
 def resolve(stations, packets, cfg=CFG):
-    """Resolve one slot over a link table of ``stations``, {id: position}."""
-    return resolve_slot(packets, link_table(list(stations.items()), cfg))
+    """Resolve one slot over a link table of ``stations``, {id: position}:
+    the outcomes, keyed by station id."""
+    table = link_table(list(stations.items()), cfg)
+    out = resolve_slot(packets, table)
+    assert list(out) == sorted(out)
+    return {table.stations[k][0]: o for k, o in out.items()}
 
 
 def test_received_power_log_distance_values():
@@ -63,7 +66,7 @@ def test_zero_distance_is_degenerate():
 
 def test_single_sender_reaches_everyone_in_range():
     out = resolve({1: (0, 0), 2: (15, 0), 3: (0, 40)}, [pkt(1)])
-    assert out[1].kind == SILENCE  # transmitters hear nothing
+    assert 1 not in out  # transmitters hear nothing
     assert out[2].kind == DELIVERED and out[2].packet.sender == 1
     assert out[3].kind == DELIVERED
 
@@ -121,7 +124,7 @@ def test_out_of_range_transmissions_neither_deliver_nor_interfere():
     assert out[1].packet.sender == 2
     # with only the far transmitter the slot is silent, not a collision
     out = resolve(stations, [pkt(3)])
-    assert out[1].kind == SILENCE
+    assert 1 not in out
 
 
 def test_group_power_counts_only_in_range_members():
@@ -135,7 +138,7 @@ def test_group_power_counts_only_in_range_members():
     stations = {1: far, 2: near, 3: (0.0, 0.0)}
     out = resolve(stations, [pkt(1, payload), pkt(2, payload)], edge)
     assert out[3].kind == DELIVERED and out[3].packet.sender == 2
-    assert resolve(stations, [pkt(1, payload)], edge)[3].kind == SILENCE
+    assert 3 not in resolve(stations, [pkt(1, payload)], edge)
 
 
 def test_zero_threshold_delivers_any_strictly_stronger_frame():
@@ -208,7 +211,7 @@ def test_the_link_tables_threshold_decides_the_slot(path):
     for threshold, kind in ((3.0, DELIVERED), (10.0, COLLISION)):
         table = link_table(stations, ChannelConfig(capture_threshold=threshold))
         with path():
-            assert resolve_slot(packets, table)[1].kind == kind
+            assert resolve_slot(packets, table)[table.index[1]].kind == kind
 
 
 @pytest.mark.parametrize("direction", [math.inf, -math.inf])
@@ -230,9 +233,19 @@ def test_bundled_traces_do_not_depend_on_the_last_bit_of_log10(monkeypatch, dire
 
 
 def test_empty_slot_is_silent_everywhere():
-    out = resolve({1: (0, 0), 2: (5, 5)}, [])
-    assert out[1].kind == SILENCE and out[2].kind == SILENCE
-    assert out[1].packet is None
+    assert resolve({1: (0, 0), 2: (5, 5)}, []) == {}
+
+
+@BOTH_PATHS
+def test_a_station_out_of_every_senders_range_has_no_outcome(path):
+    # Station 4 lies 200 m from every sender, past the 100 m range; listeners
+    # 1 and 5 hear the senders, and the senders 2 and 3 hear nothing.
+    stations = {5: (0.0, 0.0), 2: (10.0, 0.0), 4: (210.0, 0.0), 3: (-10.0, 0.0), 1: (0.0, 5.0)}
+    table = link_table(list(stations.items()), CFG)
+    with path():
+        out = resolve_slot([pkt(2, b"\x02" * 100), pkt(3, b"\x03" * 100)], table)
+    assert list(out) == [table.index[5], table.index[1]]
+    assert {o.kind for o in out.values()} == {COLLISION}
 
 
 def test_duplicate_sender_rejected():

@@ -5,7 +5,9 @@ Stations sit on an integer lattice, so equal distances (and hence exact
 power ties) are common, and 3-4-5 triangles put senders at exactly
 comm_range. Payloads come from a small alphabet, so several
 identical-payload groups form in most slots. The link table lists the
-stations in a drawn order, and the outcomes must come back by ascending id.
+stations in a drawn order. The reference decides every station, silence
+included; resolve_slot must return its other entries, keyed by ascending
+position in the table, and no entry for a silent station.
 
 These slots are small, so resolve_slot decides them with its scalar loop.
 The array-path tests patch its cut to 0 inside the test body, so that the
@@ -30,7 +32,6 @@ from test_placement_properties import LATTICES
 from zonecast import (
     COLLISION,
     DELIVERED,
-    SILENCE,
     ChannelConfig,
     Packet,
     ZoneIndex,
@@ -42,6 +43,7 @@ from zonecast import (
 from zonecast.grid import _square_side
 
 ZONES = (ZoneIndex(0, 0), ZoneIndex(1, 0))
+SILENCE = "silence"  # the reference's outcome for a station that hears nothing
 
 
 def reference(packets, stations, cfg):
@@ -119,8 +121,12 @@ SQRT104_TIE = (
 )
 
 
-def as_pairs(outcomes):
-    return {rid: (o.kind, o.packet) for rid, o in outcomes.items()}
+def check(got, table, want):
+    """``got``, resolve_slot's outcomes over ``table``, holds the reference's
+    ``want`` minus its silence, keyed by ascending k."""
+    assert list(got) == sorted(got)
+    heard = {table.stations[k][0]: (o.kind, o.packet) for k, o in got.items()}
+    assert heard == {rid: out for rid, out in want.items() if out[0] != SILENCE}
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,9 +134,8 @@ def as_pairs(outcomes):
 @example(SQRT104_TIE)
 def test_resolve_slot_matches_pairwise_reference(slot):
     stations, packets, table_order, cfg = slot
-    got = resolve_slot(packets, link_table(table_order, cfg))
-    assert as_pairs(got) == reference(packets, stations, cfg)
-    assert list(got) == sorted(vid for vid, _ in stations)
+    table = link_table(table_order, cfg)
+    check(resolve_slot(packets, table), table, reference(packets, stations, cfg))
 
 
 def array_path():
@@ -143,10 +148,10 @@ def array_path():
 @example(SQRT104_TIE)
 def test_array_path_matches_pairwise_reference(slot):
     stations, packets, table_order, cfg = slot
+    table = link_table(table_order, cfg)
     with array_path():
-        got = resolve_slot(packets, link_table(table_order, cfg))
-    assert as_pairs(got) == reference(packets, stations, cfg)
-    assert list(got) == sorted(vid for vid, _ in stations)
+        got = resolve_slot(packets, table)
+    check(got, table, reference(packets, stations, cfg))
 
 
 @st.composite
@@ -192,16 +197,17 @@ def test_array_filter_falls_back_on_lattice_ties_and_agrees():
     @settings(max_examples=60, deadline=None)
     @given(lattice_slots())
     @example(LATTICE_TIE)
-    def check(slot):
+    def agrees(slot):
         stations, packets, table_order, cfg = slot
+        table = link_table(table_order, cfg)
         with array_path(), mock.patch.object(
             channel, "_captures", wraps=channel._captures
         ) as fold:
-            got = resolve_slot(packets, link_table(table_order, cfg))
+            got = resolve_slot(packets, table)
         folds.append(fold.call_count)  # on the array path, only close calls fold
-        assert as_pairs(got) == reference(packets, stations, cfg)
+        check(got, table, reference(packets, stations, cfg))
 
-    check()
+    agrees()
     assert sum(folds) > 0
 
 

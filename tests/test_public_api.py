@@ -11,7 +11,6 @@ PUBLIC_NAMES = {
     # channel
     "COLLISION",
     "DELIVERED",
-    "SILENCE",
     "ChannelConfig",
     "Packet",
     "link_table",
@@ -62,7 +61,7 @@ def _public():
 def test_public_names_are_pinned():
     public = _public()
     assert public == PUBLIC_NAMES
-    assert len(public) == 33
+    assert len(public) == 32
 
 
 def test_readme_documents_every_public_name():

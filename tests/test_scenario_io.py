@@ -1,9 +1,16 @@
 """Tests for scenario parsing, saving, and the bundled scenario files."""
 
+import os
 import re
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import zonecast
 from zonecast import (
     ChannelConfig,
     ConfigError,
@@ -231,3 +238,50 @@ def test_a_record_must_be_a_mapping():
 def test_explicit_null_leaves_an_optional_unset():
     assert parse_scenario("max_slots: null\n").max_slots is None
     assert parse_scenario("max_slots: 7\n").max_slots == 7
+
+
+def test_numpy_scalars_save_as_plain_values(tmp_path):
+    # yaml cannot represent numpy scalars, which the config types accept.
+    configs = [
+        ScenarioConfig(vehicles=((np.int64(1), (10.0, 10.0)),), seed=np.int64(3)),
+        ScenarioConfig(
+            vehicles=((1, (np.float64(10.5), np.float64(20.0))),),
+            initiators=(np.int64(1),),
+            max_slots=np.int32(9),
+            channel=ChannelConfig(comm_range=np.float64(30.0)),
+            csma=CsmaConfig(cw_min=np.int64(7), micro_slot_us=np.int64(13)),
+        ),
+        ScenarioConfig(
+            placement=Placement(
+                count=np.int64(5),
+                area=tuple(np.array([0.0, 0.0, 60.0, 60.0])),
+                connected=np.bool_(False),
+            ),
+            mac_mode=np.str_("csma"),
+        ),
+    ]
+    for i, cfg in enumerate(configs):
+        path = tmp_path / f"{i}.scenario"
+        save_scenario(cfg, path)
+        assert load_scenario(path) == cfg
+
+
+def test_bundled_scenarios_load_from_a_zip_archive(tmp_path):
+    archive = tmp_path / "zonecast.zip"
+    package = Path(zonecast.__file__).parent
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in package.rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent).as_posix())
+    script = (
+        "import zonecast\n"
+        "print(zonecast.__file__)\n"
+        "print(repr(zonecast.load_scenario(zonecast.bundled_scenario('fig5_line3'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(archive)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert Path(out[0]).is_relative_to(archive)
+    assert out[1] == repr(load_scenario(bundled_scenario("fig5_line3")))
+    assert isinstance(bundled_scenario("fig5_line3"), Path)  # on the file system

@@ -400,10 +400,10 @@ def _backoffs(rng: np.random.Generator, cws: list[int]) -> list[int]:
 
 
 def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> Iterator[Slot]:
-    """Contention rounds; see run_baseline. Station k is states[k] and its
-    neighbours table.links[k], linked both ways. ``got`` maps each listener a
-    sender reached to what it hears in the round, a sole sender or
-    len(states) for a collision; a round lists them in states order."""
+    """Contention rounds; see run_baseline. Station k is states[k], its
+    neighbours table.links[k], linked both ways, and got[k] what it hears in
+    the round, a sole sender or len(states) for a collision; a round lists,
+    in states order, the stations whose got is set."""
     rng = np.random.default_rng([cfg.seed, 0x5DEECE66])
     n = len(states)
     cw = [cfg.csma.cw_min] * n
@@ -415,21 +415,22 @@ def _csma(cfg: ScenarioConfig, states: list[VehicleState], table: LinkTable) -> 
         draws = _backoffs(rng, [cw[k] for k in armed])
         order = sorted(zip(draws, [states[k].id for k in armed], armed))
         sent: dict[int, Packet] = {}
-        got: dict[int, int] = {}
+        got: list[Optional[int]] = [None] * n
         for _, level in itertools.groupby(order, key=lambda o: o[0]):
             # Carrier sense: a contender that hears a sender of a lower draw
             # defers. The level marks its neighbours once all of it sensed.
-            senders = [k for _, _, k in level if k not in got]
+            senders = [k for _, _, k in level if got[k] is None]
             for k in senders:
                 sent[k] = on_slot_begin(states[k])
                 for r in table.links[k]:
-                    got[r] = n if r in got else k
+                    got[r] = k if got[r] is None else n
             # A later contender in a sender's range deferred: only its level reaches it.
             for k in senders:
-                collided = got.pop(k, None) is not None  # half-duplex: a sender hears nothing
+                collided = got[k] is not None
                 cw[k] = min(cw[k] * 2, cfg.csma.cw_max) if collided else cfg.csma.cw_min
                 states[k].pending_tx = collided  # retry after a collision
-        heard = sorted(got)
+                got[k] = None  # half-duplex: a sender hears nothing
+        heard = [k for k, g in enumerate(got) if g is not None]
         # The first sender's draw; a round with nobody armed lasts one slot.
         elapsed += cfg.slot_duration_ms + (order[0][0] * micro_ms if order else 0)
         yield sent, heard, [got[k] for k in heard], elapsed

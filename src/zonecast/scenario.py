@@ -22,15 +22,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import MISSING
 from importlib import resources
-from importlib.resources.abc import Traversable
 from pathlib import Path
-from typing import Any, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .engine import ConfigError, ScenarioConfig
+
+if TYPE_CHECKING:  # importlib.resources.abc is 3.11+; annotations only
+    from importlib.resources.abc import Traversable
 
 
 def _optional(tp: Any) -> tuple[Any, bool]:
@@ -139,7 +142,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioConfig:
 
 def load_scenario(path: Union[str, Path, Traversable]) -> ScenarioConfig:
     """Read a scenario file: a path, or a file that bundled_scenario returns."""
-    if not isinstance(path, Traversable):
+    if isinstance(path, (str, os.PathLike)):  # a zipfile.Path passes as it is
         path = Path(path)
     try:
         text = path.read_text()

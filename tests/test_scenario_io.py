@@ -285,3 +285,17 @@ def test_bundled_scenarios_load_from_a_zip_archive(tmp_path):
     assert Path(out[0]).is_relative_to(archive)
     assert out[1] == repr(load_scenario(bundled_scenario("fig5_line3")))
     assert isinstance(bundled_scenario("fig5_line3"), Path)  # on the file system
+
+
+def test_import_needs_no_importlib_resources_abc():
+    # importlib.resources.abc first ships with Python 3.11; the package
+    # declares 3.10, so it may name the module only for type checking.
+    script = (
+        "import sys\n"
+        "sys.modules['importlib.resources.abc'] = None\n"
+        "import zonecast\n"
+        "path = zonecast.bundled_scenario('fig5_line3')\n"
+        "assert zonecast.load_scenario(str(path)) == zonecast.load_scenario(path)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(zonecast.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)

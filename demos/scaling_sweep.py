@@ -3,8 +3,12 @@ slotted MAC versus the contention (CSMA) baseline.
 
 Each count runs several random connected placements; the table reports the
 mean latency over the trials that completed, plus how many stalled. Runs can
-legitimately stall: a deaf transmitter whose last frame was lost to capture
-never re-sends, and the sweep records that rather than hiding it.
+legitimately stall, and the sweep records that rather than hiding it: a deaf
+transmitter whose last frame was lost to capture never re-sends, and a
+vehicle holding 01 where another holds 00 keeps it, as neither senses the
+cell and a merge keeps the receiver's own unsensed value. These presets' point
+vehicles without objects never hold a 01 cell, so their stalls are all of the
+first kind.
 
 Run with:  python demos/scaling_sweep.py
 """

@@ -8,9 +8,12 @@ the slot, which ``RunMetrics.trace`` renders on first read. The
 slotted MAC resolves synchronized slots on the
 capture/constructive-interference channel; the CSMA baseline contends with
 random backoff and carrier sense. The run ends at the first silent slot —
-converged if every matrix is then identical, provably stalled otherwise (a
-capture-less collision can legitimately stall the exchange) — or at the
-max_slots safety cap (converged=False).
+converged if every matrix is then identical, provably stalled otherwise — or
+at the max_slots safety cap (converged=False). A stall has two causes: a
+frame lost to a collision or to a deaf sender is never repeated unless its
+sender changes again, and a cell that one vehicle holds as 01 and another as
+00, and that no vehicle senses, never agrees, as a merge keeps the
+receiver's own unsensed value; the latter stalls on a perfect channel.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from .channel import (
     link_table,
     resolve_slot,
 )
-from .grid import ConfigError, GridConfig, Position, ZoneIndex, _square, _square_side, locate_zone
+from .grid import (
+    ConfigError, GridConfig, Position, ZoneIndex, _reals, _square, _square_side, locate_zone,
+)
 from .protocol import (
     Merges,
     VehicleState,
@@ -181,6 +186,8 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
             "points one placement attempt draws"
         )
     if p.area is not None:
+        if not _reals(p.area, 4):
+            raise ConfigError(f"placement.area must be four real numbers, got {p.area!r}")
         x0, y0, x1, y1 = p.area
     else:
         (ox, oy), side = cfg.grid.origin, cfg.grid.blocks_per_side * cfg.grid.block_side
@@ -271,17 +278,17 @@ def build_world(
     ids = [vid for vid, _ in vehicles]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate vehicle ids")
-    seen: dict[tuple[float, ...], int] = {}
-    for vid, pos in vehicles:
-        other = seen.setdefault(tuple(pos), vid)
-        if other != vid:
-            raise ConfigError(f"vehicles {other} and {vid} share position {tuple(pos)}")
-    try:
+    try:  # first, as it checks that each position is two real numbers
         zones = {locate_zone(pos, cfg.grid) for _, pos in vehicles}
         for pos, _ in cfg.objects:  # perception locates every object too
             locate_zone(pos, cfg.grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    seen: dict[tuple[float, ...], int] = {}
+    for vid, pos in vehicles:
+        other = seen.setdefault(tuple(pos), vid)
+        if other != vid:
+            raise ConfigError(f"vehicles {other} and {vid} share position {tuple(pos)}")
     if len(zones) != 1:
         raise ConfigError(f"all vehicles must share one zone; got {sorted(zones)}")
     if cfg.initiators is not None:
@@ -308,7 +315,8 @@ def _simulate(cfg: ScenarioConfig, mac: Mac, word: str, every: bool) -> RunMetri
     """The slot loop both MACs share: it pulls the MAC's slots, applies their
     deliveries and records each one for the trace (_render). A slot is
     silent only when nobody is armed and then arms nobody, so the first one
-    ends the run: converged if every matrix is identical, else stalled."""
+    ends the run: converged if every matrix is identical, else stalled, by a
+    lost frame or by a 01 against a 00 that no vehicle senses."""
     zone, vehicles, world = build_world(cfg)
     states = [init_vehicle(i, p, world, zone, cfg.grid, cfg.sensing_range) for i, p in vehicles]
     merges: Merges = {}  # one merge memo for the run's vehicles

@@ -9,6 +9,7 @@ so it lies in zone 0): each finite position lies in one zone and one block.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -46,6 +47,8 @@ class GridConfig:
     origin: Position = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.origin, tuple) and _reals(self.origin, 2)):  # hashed in run caches
+            raise ConfigError(f"origin must be a tuple of two real numbers, got {self.origin!r}")
         if self.zone_side <= 0 or self.block_side <= 0:
             raise ConfigError("zone_side and block_side must be positive")
         ratio = self.zone_side / self.block_side
@@ -63,16 +66,31 @@ class GridConfig:
         return round(self.zone_side / self.block_side)
 
 
+def _reals(value: object, count: int) -> bool:
+    """Whether ``value`` is a sequence of ``count`` real numbers."""
+    try:
+        return len(value) == count and all(isinstance(v, numbers.Real) for v in value)
+    except TypeError:  # no length: a scalar
+        return False
+
+
 def _quantise(p: Position, g: GridConfig) -> tuple[tuple[int, int], tuple[int, int]]:
     """Per axis, ``divmod(k, n)`` of p's block number k counted from the origin:
     the zone, and the block within it, as exact ints.
 
-    Raises ValueError when p is not finite or lies a non-finite number of
-    blocks from the origin.
+    Raises ValueError when p is not two real numbers, or is not finite or
+    lies a non-finite number of blocks from the origin.
     """
-    kx = (p[0] - g.origin[0]) / g.block_side
-    ky = (p[1] - g.origin[1]) / g.block_side
-    if not (math.isfinite(kx) and math.isfinite(ky)):
+    try:  # a position that is not two real numbers fails to unpack or to subtract
+        x, y = p
+        kx = (x - g.origin[0]) / g.block_side
+        ky = (y - g.origin[1]) / g.block_side
+        finite = math.isfinite(kx) and math.isfinite(ky)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"a position must be two real numbers, got {p!r}") from exc
+    except OverflowError:  # an int beyond float range
+        finite = False
+    if not finite:
         raise ValueError(f"position {p!r} lies a non-finite number of blocks from {g.origin!r}")
     n = g.blocks_per_side
     return divmod(math.floor(kx), n), divmod(math.floor(ky), n)

@@ -82,11 +82,12 @@ class SensingMatrix:
     constructor packs its cells once, so it keeps no reference to them) or
     its cell array. Reading ``cells`` on a wire-backed matrix unpacks a
     fresh, writeable array that becomes the backing, and the bytes are
-    dropped, so a write into it is seen by the next ``encode``. ``cells``,
-    ``zone`` and ``shape`` cannot be assigned; the last two read as slots.
+    dropped, so a write into it is seen by the next ``encode``; ``repr``,
+    ``==``, ``copy`` and ``format_matrix`` read the bytes and switch no
+    backing. ``cells``, ``zone`` and ``shape`` are read-only properties.
     """
 
-    __slots__ = ("zone", "shape", "_cells", "_wire")
+    __slots__ = ("_zone", "_shape", "_cells", "_wire")
 
     def __init__(self, zone: ZoneIndex, cells: np.ndarray) -> None:
         cells = np.asarray(cells)
@@ -95,37 +96,29 @@ class SensingMatrix:
         # Checked before the cast, which would wrap 259 to 3 and cut 2.7 to 2.
         if cells.size and (cells.dtype.kind not in "biu" or cells.min() < 0 or cells.max() > 3):
             raise ValueError("cell values must be integers that fit in two bits")
-        self.zone, self.shape, self._cells = zone, cells.shape, None
+        self._zone, self._shape, self._cells = zone, cells.shape, None
         self._wire = _pack(cells.astype(np.uint8, copy=False))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        if name in ("zone", "shape") and hasattr(self, name):
-            raise AttributeError(f"a SensingMatrix's {name} cannot be assigned")
-        object.__setattr__(self, name, value)
+    @property
+    def zone(self) -> ZoneIndex:
+        return self._zone
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
 
     @property
     def cells(self) -> np.ndarray:
         if self._cells is None:
-            m, n = self.shape
-            flat = _UNPACK.take(np.frombuffer(self._wire, dtype=np.uint8), axis=0)
-            self._cells, self._wire = flat.reshape(-1)[: m * n].reshape(m, n), None
+            self._cells, self._wire = _unpack(self._wire, self._shape), None
         return self._cells
-
-    @property
-    def m(self) -> int:
-        return self.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.shape[1]
 
     @classmethod
     def _wired(cls, zone: ZoneIndex, shape: tuple[int, int], wire: bytes) -> "SensingMatrix":
         """Wrap the ceil(m*n/4) wire bytes of an m x n matrix whose padding
         bits are zero."""
-        mat = object.__new__(_Fields)  # filled past __setattr__, then given its class
-        mat.zone, mat.shape, mat._cells, mat._wire = zone, shape, None, wire
-        mat.__class__ = cls
+        mat = object.__new__(cls)
+        mat._zone, mat._shape, mat._cells, mat._wire = zone, shape, None, wire
         return mat
 
     def copy(self) -> "SensingMatrix":
@@ -142,11 +135,8 @@ class SensingMatrix:
         )
 
     def __repr__(self) -> str:
-        return f"SensingMatrix(zone={self.zone!r}, cells={self.cells!r})"
+        return f"SensingMatrix(zone={self.zone!r}, cells={_unpack(encode(self), self.shape)!r})"
 
-
-# SensingMatrix's slots without its __setattr__.
-_Fields = type("_Fields", (), {"__slots__": SensingMatrix.__slots__})
 
 _QUAD_WEIGHTS = np.array([64, 16, 4, 1], dtype=np.uint8)
 
@@ -181,6 +171,13 @@ def _pack(cells: np.ndarray) -> bytes:
     if flat.size % 4:
         flat = np.concatenate([flat, np.zeros(-flat.size % 4, dtype=np.uint8)])
     return (flat.reshape(-1, 4) @ _QUAD_WEIGHTS).tobytes()
+
+
+def _unpack(wire: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """``_pack``'s inverse: a fresh, writeable ``uint8`` array of ``shape``."""
+    m, n = shape
+    flat = _UNPACK.take(np.frombuffer(wire, dtype=np.uint8), axis=0).reshape(-1)
+    return flat[: m * n].reshape(m, n)
 
 
 def _is_int(value: object) -> bool:
@@ -482,6 +479,6 @@ def perceive(
 def format_matrix(mat: SensingMatrix) -> str:
     """Render a matrix as m rows of two-bit tokens, northernmost row first."""
     lines = []
-    for row in mat.cells[::-1]:
+    for row in _unpack(encode(mat), mat.shape)[::-1]:
         lines.append(" ".join(f"{v >> 1}{v & 1}" for v in row))
     return "\n".join(lines)

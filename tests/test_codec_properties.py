@@ -26,6 +26,7 @@ from zonecast import (
     aggregate,
     decode,
     encode,
+    format_matrix,
     locate_zone,
     perceive,
     sensing,
@@ -132,9 +133,9 @@ def test_decode_matches_reference_whatever_the_padding_bits(case):
 
 @given(matrices(), st.sampled_from((bytes, bytearray, memoryview)))
 def test_round_trip_through_every_buffer_type(mat, kind):
-    got = decode(kind(encode(mat)), Z, mat.m, mat.n)
+    got = decode(kind(encode(mat)), Z, *mat.shape)
     assert got == mat
-    assert_fresh(got.cells, (mat.m, mat.n), mat.cells)
+    assert_fresh(got.cells, mat.shape, mat.cells)
 
 
 @given(
@@ -167,7 +168,7 @@ def matrix_pairs(draw):
     one with some cells unsensed (a merge that may change nothing)."""
     current = draw(matrices())
     if draw(st.booleans()):
-        received = draw(matrices(current.m, current.n))
+        received = draw(matrices(*current.shape))
     else:
         keep = draw(arrays(bool, current.cells.shape))
         received = SensingMatrix(Z, np.where(keep, current.cells, 0).astype(np.uint8))
@@ -278,6 +279,22 @@ def test_a_write_into_cells_is_seen_by_the_next_encode():
         mat.cells[2, 2] ^= 1
         assert encode(mat) != before
         assert encode(mat) == reference_encode(SensingMatrix(Z, mat.cells.copy()))
+
+
+def test_printing_a_matrix_reads_its_bytes_and_keeps_them():
+    built = SensingMatrix(Z, [[3, 2, 0], [1, 2, 2], [0, 0, 3]])
+    decoded = decode(encode(built), Z, 3, 3)
+    merged, _ = aggregate(decoded, SensingMatrix(Z, np.full((3, 3), 2)))
+    grid = GridConfig(zone_side=15.0, block_side=5.0)  # 3 x 3 blocks
+    world = GroundTruth(objects=(((12.0, 7.0), 1.0),), vehicles=((1, (2.0, 2.0), 0.0),))
+    perceived = perceive(1, (2.0, 2.0), world, locate_zone((2.0, 2.0), grid), grid, 8.0)
+    for mat in (decoded, merged, perceived):
+        wire = encode(mat)
+        repr(mat), format_matrix(mat)
+        assert encode(mat) is wire and mat._cells is None
+    built.cells[2, 2] = BlockState.UNCERTAIN  # cells-backed from here on
+    assert format_matrix(built).splitlines()[0] == "00 00 01"
+    assert "[0, 0, 1]]" in repr(built)
 
 
 def test_cells_cannot_be_assigned_and_the_constructor_copies_its_input():

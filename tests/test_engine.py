@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from zonecast import (
+    BlockState,
     ChannelConfig,
     ConfigError,
     CsmaConfig,
@@ -23,6 +24,7 @@ from zonecast import (
     engine,
     grid,
     load_scenario,
+    perceive,
     run,
     sensing,
     sweep,
@@ -465,6 +467,45 @@ def test_non_finite_bounds_are_config_errors(make, match):
         make()
 
 
+def _at(pos=(10.0, 10.0), obj=(20.0, 10.0), origin=(0.0, 0.0)):
+    return ScenarioConfig(
+        grid=GridConfig(origin=origin), vehicles=((1, pos),), objects=((obj, 1.0),)
+    )
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: _at(origin=[0.0, 0.0]), "origin"),
+        (lambda: _at(origin=np.array([0.0, 0.0])), "origin"),
+        (lambda: _at(origin=(0.0,)), "origin"),
+        (lambda: _at(origin=(0.0, 0.0, 5.0)), "origin"),
+        (lambda: _at(pos=(10.0,)), "position"),
+        (lambda: _at(obj=(20.0,)), "position"),
+        (lambda: _at(pos=(10.0, 10.0, 3.0)), "position"),
+        (lambda: _at(pos="ab"), "position"),
+        (lambda: _at(pos=(10**400, 10.0)), "non-finite"),
+        (lambda: ScenarioConfig(placement=Placement(3, area=(0.0, 0.0, 10.0))), "area"),
+    ],
+    ids=[
+        "origin_list", "origin_array", "origin_of_one", "origin_of_three", "vehicle_of_one",
+        "object_of_one", "vehicle_of_three", "vehicle_string", "vehicle_beyond_float",
+        "area_of_three",
+    ],
+)
+def test_malformed_positions_built_in_code_are_config_errors(make, match):
+    # Each once ended deeper in the run: an unhashable cache key, an
+    # IndexError, a numpy ValueError, a TypeError, an OverflowError, or a
+    # third origin value silently ignored.
+    with pytest.raises(ConfigError, match=match):
+        run(make())
+
+
+def test_vehicle_positions_given_as_lists_still_run():
+    cfg = ScenarioConfig(vehicles=((1, [10.0, 10.0]), (2, [30.0, 10.0])), vehicle_radius=0.0)
+    assert run(cfg) == run(replace(cfg, vehicles=((1, (10.0, 10.0)), (2, (30.0, 10.0)))))
+
+
 INT_FIELDS = {
     "seed": lambda x: ScenarioConfig(seed=x),
     "max_slots": lambda x: ScenarioConfig(max_slots=x),
@@ -770,6 +811,40 @@ def test_default_scenario_stalls_at_slot_2(seed):
     assert m.quiescent_slot == 2 and m.last_tx_slot == 1
     assert set(m.tx_slots.values()) == {1}
     assert set(m.rx_slots.values()) == {0}
+
+
+@pytest.mark.parametrize(
+    "mac, trace",
+    [
+        ("l3", ["slot 1 | tx 1 | 1:S 2:D1", "slot 2 | tx 2 | 1:D2 2:S",
+                "slot 3 | tx 1 | 1:S 2:D1", "slot 4 | tx - | 1:S 2:S"]),
+        ("csma", ["round 1 | tx 1 | 2:D1", "round 2 | tx 2 | 1:D2",
+                  "round 3 | tx 1 | 2:D1", "round 4 | tx - | idle"]),
+    ],
+)
+def test_a_perfect_channel_stalls_on_01_against_00(mac, trace):
+    # The object hides four blocks from vehicle 1 (01), which lie beyond
+    # vehicle 2's range (00). Neither is sensed, so each merge keeps the
+    # receiver's own value: every frame is decoded, yet the matrices differ.
+    cfg = ScenarioConfig(
+        vehicles=((1, (10.0, 10.0)), (2, (12.0, 30.0))),
+        objects=(((20.0, 10.0), 2.0),),
+        sensing_range=20.0,
+        vehicle_radius=0.0,
+        mac_mode=mac,
+    )
+    zone, vehicles, world = build_world(cfg)
+    cells = [perceive(*v, world, zone, cfg.grid, cfg.sensing_range).cells for v in vehicles]
+    assert [np.argwhere(c == BlockState.UNCERTAIN).tolist() for c in cells] == [
+        [[1, 4], [1, 5], [2, 4], [2, 5]],
+        [],
+    ]
+    assert (cells[1][1:3, 4:6] == BlockState.OUT_OF_SENSING).all()
+    m = run(cfg)
+    assert (m.converged, m.last_tx_slot, m.quiescent_slot) == (False, 3, 4)
+    assert (m.tx_slots, m.rx_slots) == ({1: 2, 2: 1}, {1: 1, 2: 2})
+    assert m.trace == trace
+    assert (m.final_matrix.cells[1:3, 4:6] == BlockState.UNCERTAIN).all()  # vehicle 1's
 
 
 def test_connected_placement_farther_apart_than_comm_range_is_rejected():

@@ -61,7 +61,7 @@ def reference_delivery(r: Reference, pkt: Packet) -> None:
     if pkt.zone != r.matrix.zone:
         return
     try:
-        received = decode(pkt.payload, pkt.zone, r.matrix.m, r.matrix.n)
+        received = decode(pkt.payload, pkt.zone, *r.matrix.shape)
     except PayloadSizeError:
         r.protocol_errors += 1
         return

@@ -187,7 +187,7 @@ def _place_vehicles(cfg: ScenarioConfig) -> tuple[tuple[int, Position], ...]:
         )
     if p.area is not None:
         if not _reals(p.area, 4):
-            raise ConfigError(f"placement.area must be four real numbers, got {p.area!r}")
+            raise ConfigError(f"placement.area must be four finite real numbers, got {p.area!r}")
         x0, y0, x1, y1 = p.area
     else:
         (ox, oy), side = cfg.grid.origin, cfg.grid.blocks_per_side * cfg.grid.block_side

@@ -48,7 +48,9 @@ class GridConfig:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.origin, tuple) and _reals(self.origin, 2)):  # hashed in run caches
-            raise ConfigError(f"origin must be a tuple of two real numbers, got {self.origin!r}")
+            raise ConfigError(
+                f"origin must be a tuple of two finite real numbers, got {self.origin!r}"
+            )
         if self.zone_side <= 0 or self.block_side <= 0:
             raise ConfigError("zone_side and block_side must be positive")
         ratio = self.zone_side / self.block_side
@@ -67,10 +69,11 @@ class GridConfig:
 
 
 def _reals(value: object, count: int) -> bool:
-    """Whether ``value`` is a sequence of ``count`` real numbers."""
+    """Whether ``value`` is a sequence of ``count`` finite real numbers."""
     try:
-        return len(value) == count and all(isinstance(v, numbers.Real) for v in value)
-    except TypeError:  # no length: a scalar
+        reals = len(value) == count and all(isinstance(v, numbers.Real) for v in value)
+        return reals and all(map(math.isfinite, value))
+    except (TypeError, OverflowError):  # a scalar has no length; an int beyond float range
         return False
 
 

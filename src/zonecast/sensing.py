@@ -18,13 +18,12 @@ bytes runs neither ``decode`` nor ``aggregate``, nor does one whose
 ``protocol``).
 
 Perception is synthetic: ``perceive`` reads a ``GroundTruth`` of disc objects
-and vehicles. What does not depend on the viewer is built once per world,
-kept on the world and shared by every vehicle (``_world_view``): the zone's
-block centres, occupied blocks and occluder discs. The first call for a
-world, zone, grid and range perceives all the world's vehicles in one pass
-and keeps their wire bytes on the world; any other viewer is a pass of one
-(``_perceive_rows``). A world with no disc of radius > 0 skips the occlusion
-test altogether; otherwise ``_hidden`` drops a block's (viewer, disc, centre)
+and vehicles. The first call for a world, zone, grid and range perceives all
+the world's vehicles in one pass and keeps their wire bytes on the world;
+any other viewer is a pass of one (``_perceive_rows``). A pass first builds
+what no viewer changes (``_world_view``): the zone's block centres, occupied
+blocks and occluder discs. A world with no disc of radius > 0 skips the
+occlusion test; otherwise ``_hidden`` drops a block's (viewer, disc, centre)
 triples whose sight line passes clear of the disc by a conservative strip
 pre-test, and one exact hit test on the rest reproduces the float results of
 the rule applied to one disc at a time (see its docstring).
@@ -33,7 +32,7 @@ the rule applied to one disc at a time (see its docstring).
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -271,19 +270,18 @@ class GroundTruth:
 
     objects: tuple[tuple[Position, float], ...] = ()
     vehicles: tuple[tuple[int, Position, float], ...] = ()
+    # perceive's memo, not compared, hashed or shown: vehicles' wire bytes per (zone, grid, range).
+    _payloads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(not r > 0 for _, r in self.objects):
             raise ValueError("object radii must be positive")
         if any(not r >= 0 for _, _, r in self.vehicles):
             raise ValueError("vehicle radii must be non-negative")
-        # Not fields: perceive's _WorldView per (zone, grid) and bytes per (zone, grid, range).
-        object.__setattr__(self, "_views", {})
-        object.__setattr__(self, "_payloads", {})
 
 
 class _WorldView(NamedTuple):
-    """What every viewer of one world and zone shares, as read-only arrays:
+    """What every viewer of one perception pass shares, as read-only arrays:
     the zone's C block centres, which of them hold an object or vehicle,
     and the M occluder discs of radius > 0, objects first."""
 
@@ -297,8 +295,8 @@ class _WorldView(NamedTuple):
 
 @np.errstate(over="ignore")  # radii near the float limit square to inf
 def _world_view(world: GroundTruth, zone: ZoneIndex, cfg: GridConfig) -> _WorldView:
-    """Build the ``_WorldView`` all viewers share. A radius-0 vehicle never
-    occludes, so a world of point vehicles without objects has no discs."""
+    """Build the ``_WorldView`` of one perception pass. A radius-0 vehicle
+    never occludes, so a world of point vehicles without objects has no discs."""
     n = cfg.blocks_per_side
     centers = block_centers(zone, cfg)
     occupied = np.zeros(n * n, dtype=bool)
@@ -462,15 +460,14 @@ def perceive(
     """
     if locate_zone(self_pos, cfg) != zone:
         raise OutOfZoneError(f"vehicle {self_id} at {self_pos!r} is outside zone {tuple(zone)}")
-    view = world._views.get((zone, cfg))
-    if view is None:
-        view = world._views[(zone, cfg)] = _world_view(world, zone, cfg)
     key = (zone, cfg, sensing_range)
     if key not in world._payloads:
         viewers = [(vid, tuple(pos)) for vid, pos, _ in world.vehicles]
-        world._payloads[key] = dict(zip(viewers, _perceive_rows(viewers, view, sensing_range)))
+        rows = _perceive_rows(viewers, _world_view(world, zone, cfg), sensing_range)
+        world._payloads[key] = dict(zip(viewers, rows))
     wire = world._payloads[key].get((self_id, tuple(self_pos)))
     if wire is None:
+        view = _world_view(world, zone, cfg)
         (wire,) = _perceive_rows([(self_id, self_pos)], view, sensing_range)
     n = cfg.blocks_per_side
     return SensingMatrix._wired(zone, (n, n), wire)

@@ -473,6 +473,10 @@ def _at(pos=(10.0, 10.0), obj=(20.0, 10.0), origin=(0.0, 0.0)):
     )
 
 
+def _placed_in(origin):
+    return ScenarioConfig(grid=GridConfig(origin=origin), placement=Placement(3))
+
+
 @pytest.mark.parametrize(
     "make, match",
     [
@@ -486,17 +490,23 @@ def _at(pos=(10.0, 10.0), obj=(20.0, 10.0), origin=(0.0, 0.0)):
         (lambda: _at(pos="ab"), "position"),
         (lambda: _at(pos=(10**400, 10.0)), "non-finite"),
         (lambda: ScenarioConfig(placement=Placement(3, area=(0.0, 0.0, 10.0))), "area"),
+        (lambda: ScenarioConfig(placement=Placement(3, area=(0, 0, 10**400, 10))), "area"),
+        (lambda: _placed_in(origin=(10**400, 0.0)), "origin"),
+        (lambda: _placed_in(origin=(math.nan, 0.0)), "origin"),
+        (lambda: _at(pos=(1.0, 1.0), origin=(math.inf, 0.0)), "origin"),
     ],
     ids=[
         "origin_list", "origin_array", "origin_of_one", "origin_of_three", "vehicle_of_one",
         "object_of_one", "vehicle_of_three", "vehicle_string", "vehicle_beyond_float",
-        "area_of_three",
+        "area_of_three", "area_beyond_float", "origin_beyond_float", "nan_origin",
+        "inf_origin",
     ],
 )
 def test_malformed_positions_built_in_code_are_config_errors(make, match):
     # Each once ended deeper in the run: an unhashable cache key, an
-    # IndexError, a numpy ValueError, a TypeError, an OverflowError, or a
-    # third origin value silently ignored.
+    # IndexError, a numpy ValueError, a TypeError, an OverflowError, a
+    # third origin value silently ignored, or an error naming the placement
+    # area or a vehicle's position for a non-finite origin.
     with pytest.raises(ConfigError, match=match):
         run(make())
 

@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from zonecast import (
     locate_zone,
     perceive,
 )
+from zonecast import sensing
 from zonecast.grid import OutOfZoneError
 from zonecast.sensing import has_uncertain
 
@@ -159,6 +161,23 @@ def test_perceived_world_is_freed_with_its_last_reference():
     del world
     gc.collect()
     assert ref() is None
+
+
+def test_a_run_builds_one_view_and_the_other_passes_keep_their_results(monkeypatch):
+    objects = (((7.5, 2.5), 1.0),)
+    vehicles = ((1, (2.5, 2.5), 1.0), (2, (7.5, 7.5), 1.0), (3, (12.5, 2.5), 0.0))
+    world = GroundTruth(objects=objects, vehicles=vehicles)
+    world_view = mock.Mock(wraps=sensing._world_view)
+    monkeypatch.setattr(sensing, "_world_view", world_view)
+    for vid, pos, _ in vehicles:
+        perceive(vid, pos, world, Z, G, sensing_range=20.0)
+    assert world_view.call_count == 1
+    # A second range, and a viewer outside the world whose sight line to
+    # (12.5, 2.5) passes through vehicle 2's disc.
+    for vid, pos, rng in ((2, (7.5, 7.5), 6.0), (9, (2.5, 12.5), 20.0)):
+        fresh = GroundTruth(objects=objects, vehicles=vehicles)
+        assert perceive(vid, pos, world, Z, G, rng) == perceive(vid, pos, fresh, Z, G, rng)
+    assert has_uncertain(perceive(9, (2.5, 12.5), world, Z, G, sensing_range=20.0))
 
 
 @pytest.mark.parametrize(
